@@ -8,7 +8,7 @@ records a JSON quality-of-service report:
 * **baseline** — a mixed evaluate/select workload with no faults: sustained
   queries/sec and p50/p99 latency.
 * **faulted** — the same workload under a scripted, seeded
-  :class:`~repro.serving.faults.FaultPlan` (coalescing-leader crashes plus
+  :class:`~repro.serving.faults.FaultPlan` (failed evaluate queries plus
   slow artifact reads).  Requests opt into degraded answers; the report
   records throughput, tail latency, the shed rate and the degraded rate.
   The invariant asserted here is the degraded-answer contract: every
@@ -91,7 +91,7 @@ def drive_workload(service, compiled, seed_sets, *, degraded_ok, artifact):
                     degraded = False
                 elif len(seeds) == 1:
                     # A sprinkling of selects keeps the selection cache
-                    # warm and exercises the non-coalesced path too.
+                    # warm and exercises the select path too.
                     result = service.select(
                         compiled, MODEL, BUDGET,
                         deadline_ms=DEADLINE_MS, degraded_ok=degraded_ok,
@@ -230,9 +230,9 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
 
         plan = FaultPlan(
             [
-                # The coalescing leader dies on ~15% of its batches; parked
-                # waiters get the error and degrade to cached spreads.
-                FaultRule(faults.SITE_LEADER, "raise", probability=0.15),
+                # ~15% of evaluate queries fail just before the index
+                # lookup and degrade to cached spreads.
+                FaultRule(faults.SITE_EVALUATE, "raise", probability=0.15),
                 # Hot-swap artifact reads stall like a cold NFS page-in.
                 FaultRule(
                     faults.SITE_ARTIFACT_READ, "sleep", delay=0.02,

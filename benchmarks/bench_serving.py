@@ -7,8 +7,8 @@ estimation, RR-set sampling, greedy cover — from scratch.  **Warm** opens a
 prebuilt memory-mapped index artifact and answers the same ``select(k)``
 with one greedy cover pass, no resampling.  Also measured: artifact build
 and reopen times, and the sustained evaluate throughput of a thread pool
-hammering one :class:`~repro.serving.service.InfluenceService` (request
-coalescing turns R concurrent evaluates into ~1 batched oracle pass).
+hammering one :class:`~repro.serving.service.InfluenceService` (each
+evaluate is one inverted-index query).
 
 The headline configuration mirrors the acceptance target of the serving PR:
 IC on a 10k-node weighted-cascade BA graph, a prebuilt 50k-set artifact,

@@ -100,8 +100,8 @@ class SpreadEstimator(Protocol):
     ``estimate(seeds)`` returns the configured objective's value for one
     seed set; ``sweep(seeds, seed_counts)`` evaluates every requested
     prefix of ``seeds`` (the k-sweeps behind the paper's figures) and is
-    where backends amortise shared work (one sampling pass, one batched
-    coverage pass, one telescoping score walk).  ``details(seeds)`` returns
+    where backends amortise shared work (one sampling pass, one stored
+    sketch, one telescoping score walk).  ``details(seeds)`` returns
     the backend's named values (e.g. all three Monte-Carlo objectives) and
     ``describe()`` its provenance-ready configuration.
     """
@@ -125,6 +125,8 @@ def def3_spread(raw: float, k: int) -> float:
     The single place the seed-exclusion convention lives for the RIS-backed
     estimators (the Monte-Carlo engine reports Def. 3 natively); clamped at
     zero because a raw RIS estimate can fall below k on tiny collections.
+    ``k`` counts *distinct* seeds: a repeated seed covers nothing new, so
+    it must not be subtracted twice.
     """
     return max(float(raw) - k, 0.0) if k else 0.0
 
@@ -201,8 +203,9 @@ class MonteCarloEstimator:
 class SketchEstimator:
     """Adapter over a freshly sampled RR-sketch collection (the RIS oracle).
 
-    One sampling pass at construction; every query afterwards is a batched
-    coverage pass over the same ``theta`` sets.
+    One sampling pass at construction; every query afterwards is one walk
+    over the same ``theta`` sets (the collection never builds the inverted
+    index, whose argsort would outweigh a one-shot sweep).
     """
 
     backend = "sketch"
@@ -237,26 +240,22 @@ class SketchEstimator:
         if not seeds:
             return 0.0
         indices = self.graph.indices_for(seeds)
-        return def3_spread(self._raw(indices), len(seeds))
+        return def3_spread(self._raw(indices), len(set(indices)))
 
     def details(self, seeds: Sequence[Node]) -> Dict[str, float]:
         seeds = list(seeds)
         raw = self._raw(self.graph.indices_for(seeds)) if seeds else 0.0
         return {
             "estimated_spread": raw,
-            "spread": def3_spread(raw, len(seeds)),
+            "spread": def3_spread(raw, len(set(seeds))),
         }
 
     def sweep(
         self, seeds: Sequence[Node], seed_counts: Sequence[int]
     ) -> Dict[int, float]:
         counts = _check_prefix_counts(seeds, seed_counts)
-        indices = self.graph.indices_for(list(seeds))
-        nonzero = [k for k in counts if k > 0]
-        # One batched traversal of the member array for the whole sweep.
-        raw = self.collection.estimated_spreads([indices[:k] for k in nonzero])
-        by_count = dict(zip(nonzero, raw))
-        return {k: def3_spread(by_count.get(k, 0.0), k) for k in counts}
+        seeds = list(seeds)
+        return {k: self.estimate(seeds[:k]) for k in counts}
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -272,9 +271,9 @@ class IndexEstimator:
     """Adapter over a persistent :class:`~repro.serving.index.InfluenceIndex`.
 
     Loads ``artifact`` when given (validating the graph fingerprint),
-    otherwise builds an in-memory index at ``theta``.  Sweeps run as one
-    batched coverage pass; the wrapped index also answers warm ``select``
-    queries for the CLI.
+    otherwise builds an in-memory index at ``theta``.  Every query is
+    answered from the index's inverted index; the wrapped index also
+    answers warm ``select`` queries for the CLI.
     """
 
     backend = "index"
@@ -325,14 +324,14 @@ class IndexEstimator:
         seeds = list(seeds)
         if not seeds:
             return 0.0
-        return def3_spread(self.index.estimate_spread(seeds), len(seeds))
+        return def3_spread(self.index.estimate_spread(seeds), len(set(seeds)))
 
     def details(self, seeds: Sequence[Node]) -> Dict[str, float]:
         seeds = list(seeds)
         raw = float(self.index.estimate_spread(seeds)) if seeds else 0.0
         return {
             "estimated_spread": raw,
-            "spread": def3_spread(raw, len(seeds)),
+            "spread": def3_spread(raw, len(set(seeds))),
         }
 
     def sweep(
@@ -340,10 +339,7 @@ class IndexEstimator:
     ) -> Dict[int, float]:
         counts = _check_prefix_counts(seeds, seed_counts)
         seeds = list(seeds)
-        nonzero = [k for k in counts if k > 0]
-        raw = self.index.estimate_spreads([seeds[:k] for k in nonzero])
-        by_count = dict(zip(nonzero, raw))
-        return {k: def3_spread(by_count.get(k, 0.0), k) for k in counts}
+        return {k: self.estimate(seeds[:k]) for k in counts}
 
     def describe(self) -> Dict[str, object]:
         return {

@@ -730,8 +730,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     true`` and a ``"degraded_reason"``.
 
     The wire protocol is intentionally smaller than the ``repro/run-result@1``
-    payload: the service coalesces concurrent evaluates into batched
-    coverage passes, so responses carry only the per-request numbers.
+    payload: each request is one warm index query, so responses carry only
+    the per-request numbers.
     """
     from repro.telemetry.export import MetricsServer, snapshot as _metrics_snapshot
     from repro.telemetry.registry import default_registry

@@ -105,9 +105,10 @@ def sketch_evaluate_seed_prefixes(
     Draws ``theta`` reverse-reachable sets under ``model`` (one of the RIS
     models ``ic``/``wc``/``lt``) and scores every prefix as ``n`` times the
     fraction of sets it covers — the standard RIS estimator, unbiased for
-    the expected number of active nodes.  The seed count is subtracted so
-    the values match the paper's Def. 3 spread (activated nodes *excluding*
-    seeds), i.e. the same objective :func:`evaluate_seed_prefixes` reports.
+    the expected number of active nodes.  The number of distinct seeds is
+    subtracted so the values match the paper's Def. 3 spread (activated
+    nodes *excluding* seeds), i.e. the same objective
+    :func:`evaluate_seed_prefixes` reports.
     All prefixes share the same collection, so the whole k-sweep costs a
     single sampling pass; estimator accuracy grows with ``theta``.
     """
@@ -130,7 +131,7 @@ def sketch_evaluate_seed_prefixes(
     collection = RRSetCollection(compiled.number_of_nodes)
     sampler.sample_into(ensure_rng(seed), collection, theta, block_size)
     values = [
-        0.0 if k == 0 else max(collection.estimated_spread(indices[:k]) - k, 0.0)
+        max(collection.estimated_spread(indices[:k]) - len(set(indices[:k])), 0.0) if k else 0.0
         for k in seed_counts
     ]
     return SeedSetEvaluation(
@@ -152,9 +153,9 @@ def index_evaluate_seed_prefixes(
     """Warm k-sweep: evaluate prefixes of ``seeds`` from a prebuilt index.
 
     ``index`` is an :class:`~repro.serving.index.InfluenceIndex`; no RR sets
-    are sampled — every prefix is scored against the stored collection in
-    one batched coverage pass.  Like :func:`sketch_evaluate_seed_prefixes`,
-    the seed count is subtracted so the values match the paper's Def. 3
+    are sampled — every prefix is one query against the stored inverted
+    index.  Like :func:`sketch_evaluate_seed_prefixes`, the number of
+    distinct seeds is subtracted so the values match the paper's Def. 3
     spread (activated nodes *excluding* seeds).
     """
     seeds = list(seeds)
@@ -164,10 +165,9 @@ def index_evaluate_seed_prefixes(
             raise ConfigurationError(
                 f"seed count {k} is outside 0..{len(seeds)}"
             )
-    spreads = index.estimate_spreads([seeds[:k] for k in counts])
     values = [
-        0.0 if k == 0 else max(spread - k, 0.0)
-        for k, spread in zip(counts, spreads)
+        max(index.estimate_spread(seeds[:k]) - len(set(seeds[:k])), 0.0) if k else 0.0
+        for k in counts
     ]
     return SeedSetEvaluation(
         label=label or "seeds",

@@ -15,7 +15,7 @@ for both checkers:
 ======================  =======================================================
 Level                   Lock
 ======================  =======================================================
-``service``             ``InfluenceService._lock`` / ``_eval_cond`` (same lock)
+``service``             ``InfluenceService._lock``
 ``index``               ``InfluenceIndex._lock``
 ``breaker``             ``CircuitBreaker._lock``
 ``fault-plan``          ``FaultPlan._lock``
@@ -62,7 +62,6 @@ _RANK: Dict[str, int] = {name: rank for rank, name in enumerate(LOCK_HIERARCHY)}
 #: module-level, attribute name) -> (rank, level name).  Used by REP007.
 STATIC_LOCK_MAP: Dict[Tuple[Optional[str], str], Tuple[int, str]] = {
     ("InfluenceService", "_lock"): (_RANK["service"], "service"),
-    ("InfluenceService", "_eval_cond"): (_RANK["service"], "service"),
     ("InfluenceIndex", "_lock"): (_RANK["index"], "index"),
     ("CircuitBreaker", "_lock"): (_RANK["breaker"], "breaker"),
     ("FaultPlan", "_lock"): (_RANK["fault-plan"], "fault-plan"),

@@ -313,9 +313,9 @@ class NoSwallowedExceptRule(Rule):
     may only do bookkeeping on the way out: its body must contain a
     ``raise``.  Handlers that swallow broad exceptions hide real bugs —
     the fault-injection suite only works because injected faults surface.
-    Deliberate swallows (e.g. a coalescing leader routing the error to
-    every parked waiter) carry a ``# repro: noqa[REP004]`` naming the
-    invariant they uphold instead.
+    Deliberate swallows (e.g. a supervisor routing a worker's error to
+    the caller that owns the block) carry a ``# repro: noqa[REP004]``
+    naming the invariant they uphold instead.
     """
 
     code = "REP004"

@@ -13,7 +13,7 @@ collection — and serves many queries over the materialized artifact:
   collection, plus bit-for-bit deterministic incremental theta growth.
 * :class:`~repro.serving.service.InfluenceService` — a thread-safe
   front-end keyed by ``(graph fingerprint, model)`` with LRU eviction,
-  request coalescing, deadlines, admission control with load shedding,
+  deadlines, admission control with load shedding,
   per-index circuit breakers, degraded answers and artifact hot swap.
 * :mod:`repro.serving.resilience` — the deadline / retry / breaker
   primitives, and :mod:`repro.serving.faults` — the deterministic

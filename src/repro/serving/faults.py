@@ -25,8 +25,8 @@ Injection sites (constants below):
                           quarantine + rebuild without destroying the file)
 ``index.build``           each sampler block of a build/grow (``sleep`` for a
                           build stall, ``raise`` for a build failure)
-``service.leader``        the coalescing leader, just before its batched
-                          oracle pass (``raise`` kills the leader mid-batch)
+``service.evaluate``      each service ``evaluate``, just before its index
+                          query (``raise`` fails that one request)
 ``runtime.worker``        a supervised worker, before executing each block
                           (``kill`` hard-exits the process, simulating an
                           OOM-kill or segfault; ``raise`` crashes it with a
@@ -44,7 +44,7 @@ scoped with the :func:`fault_injection` context manager::
 
     plan = FaultPlan([
         FaultRule(SITE_ARTIFACT_READ, "raise", times=2),
-        FaultRule(SITE_LEADER, "raise", after=10, times=1),
+        FaultRule(SITE_EVALUATE, "raise", after=10, times=1),
     ], seed=42)
     with fault_injection(plan):
         run_chaos_workload()
@@ -65,7 +65,7 @@ __all__ = [
     "SITE_ARTIFACT_PAYLOAD",
     "SITE_ARTIFACT_READ",
     "SITE_BUILD",
-    "SITE_LEADER",
+    "SITE_EVALUATE",
     "SITE_RUNTIME_CHECKPOINT",
     "SITE_RUNTIME_HEARTBEAT",
     "SITE_RUNTIME_WORKER",
@@ -81,7 +81,7 @@ __all__ = [
 SITE_ARTIFACT_READ = "artifact.read"
 SITE_ARTIFACT_PAYLOAD = "artifact.payload"
 SITE_BUILD = "index.build"
-SITE_LEADER = "service.leader"
+SITE_EVALUATE = "service.evaluate"
 SITE_RUNTIME_WORKER = "runtime.worker"
 SITE_RUNTIME_HEARTBEAT = "runtime.heartbeat"
 SITE_RUNTIME_CHECKPOINT = "runtime.checkpoint"
@@ -91,7 +91,7 @@ KNOWN_SITES = frozenset(
         SITE_ARTIFACT_READ,
         SITE_ARTIFACT_PAYLOAD,
         SITE_BUILD,
-        SITE_LEADER,
+        SITE_EVALUATE,
         SITE_RUNTIME_WORKER,
         SITE_RUNTIME_HEARTBEAT,
         SITE_RUNTIME_CHECKPOINT,

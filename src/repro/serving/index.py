@@ -516,56 +516,38 @@ class InfluenceIndex:
     def estimate_spread(self, seeds: Sequence[Node]) -> float:
         """RIS spread estimate for ``seeds`` (given as graph labels).
 
-        This is the raw estimator (seeds count themselves); subtract
-        ``len(seeds)`` for the paper's Def. 3 objective, as
+        Answered from the inverted index, which an artifact persists and a
+        fresh or grown index builds once on its first query, so each call
+        costs O(sets containing a seed).  This is the raw estimator (seeds
+        count themselves); subtract the number of distinct seeds for the
+        paper's Def. 3 objective, as
         :func:`repro.core.evaluation.index_evaluate_seed_prefixes` does.
         """
-        indices = self._indices_for(seeds)
-        with self._lock:
-            return self.collection.estimated_spread(indices)
+        return self._estimate_indices(self._indices_for(seeds))
 
-    def estimate_spreads(
-        self, seed_sets: Sequence[Sequence[Node]]
-    ) -> List[float]:
-        """Batched :meth:`estimate_spread` — one pass for many seed sets."""
-        return self._estimate_spreads_indices(
-            [self._indices_for(seeds) for seeds in seed_sets]
-        )
+    def _estimate_indices(self, indices: Sequence[int]) -> float:
+        """:meth:`estimate_spread` over compiled node indices.
 
-    def _estimate_spreads_indices(
-        self,
-        index_sets: Sequence[Sequence[int]],
-        *,
-        deadline: Optional[Deadline] = None,
-    ) -> List[float]:
-        """Batched oracle over compiled node indices, serialised vs growth.
-
-        The service's coalescing leader calls this so its reads hold the
-        same lock :meth:`grow` mutates the collection under.
+        Holds the lock :meth:`grow` mutates the collection under, so a
+        concurrent theta-growth never interleaves with the query.
         """
         with self._lock:
-            if deadline is not None:
-                deadline.check("evaluate")
             registry = default_registry()
             if registry is not None:
                 self._counter(
                     registry,
                     "repro_index_evaluations_total",
-                    "Seed sets answered by the batched RIS oracle.",
-                ).inc(len(index_sets))
-            with span(
-                "index_evaluate", model=self.model, batch=len(index_sets)
-            ):
-                return [
-                    float(v)
-                    for v in self.collection.estimated_spreads(index_sets)
-                ]
+                    "Seed sets answered by the RIS spread oracle.",
+                ).inc()
+            with span("index_evaluate", model=self.model):
+                self.collection.inverted_index()
+                return self.collection.estimated_spread(indices)
 
     def spread_curve(self, seed_counts: Sequence[int]) -> Dict[int, float]:
         """Spread estimates for the first ``k`` selected seeds, each ``k``.
 
         The k-sweep behind "spread vs #seeds" figures, served warm: one
-        greedy cover at ``max(seed_counts)`` plus one batched oracle pass.
+        greedy cover at ``max(seed_counts)`` plus one index query per ``k``.
         Values follow the raw RIS estimator (seeds included), matching
         :meth:`estimate_spread`.
         """
@@ -575,9 +557,7 @@ class InfluenceIndex:
         if not counts:
             return {}
         top = self.select(max(counts))
-        prefixes = [top.seeds[:k] for k in counts]
-        spreads = self.estimate_spreads(prefixes)
-        return dict(zip(counts, spreads))
+        return {k: self.estimate_spread(top.seeds[:k]) for k in counts}
 
     def __repr__(self) -> str:
         origin = " mmap" if self.memory_mapped else ""

@@ -6,7 +6,7 @@ threaded through the artifact store and index build path:
 * :class:`Deadline` — an absolute time budget created at admission and
   propagated through build → sample → select/evaluate.  Every stage calls
   :meth:`Deadline.check` at its natural yield points (block boundaries of
-  the RR sampler, batch boundaries of the coalescing leader), so a request
+  the RR sampler, entry to a select or evaluate query), so a request
   that cannot finish in budget raises
   :class:`~repro.exceptions.DeadlineExceeded` at the *next* checkpoint
   instead of hanging.

@@ -15,12 +15,11 @@ Serving mechanisms:
   later, which the memory-mapped loader makes cheap).  Eviction is safe
   under in-flight requests: they hold a reference to the index object, which
   stays fully functional after leaving the pool.
-* **Request coalescing** — concurrent ``evaluate`` calls against the same
-  index are drained by a single *leader* thread per index, which batches
-  every queued seed set into one
-  :meth:`~repro.sketches.collection.RRSetCollection.estimated_spreads`
-  pass and hands each waiter its result.  A leader that dies mid-batch
-  propagates its error to every parked waiter exactly once.
+* **Direct evaluation** — each ``evaluate`` is answered on the calling
+  thread from the index's inverted index
+  (:meth:`~repro.serving.index.InfluenceIndex.estimate_spread`), at a cost
+  proportional to the RR sets containing its seeds; concurrent evaluates
+  serialise only on the index lock that growth also takes.
 
 Fault-tolerance mechanisms (see also :mod:`repro.serving.resilience`):
 
@@ -60,8 +59,7 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -160,16 +158,6 @@ class SweepOutcome(dict):
         super().__init__(curve)
         self.degraded = degraded
         self.reason = reason
-
-
-@dataclass
-class _EvalRequest:
-    """One queued evaluate call, parked until a leader computes its batch."""
-
-    seeds: Tuple[int, ...]
-    done: bool = False
-    result: float = 0.0
-    error: Optional[BaseException] = None
 
 
 def _degrade_reason(error: BaseException) -> str:
@@ -282,13 +270,8 @@ class InfluenceService:
         self.eval_cache_size = eval_cache_size
         self._clock = clock
         self._lock = threading.RLock()
-        # Coalescing state shares the service lock through a condition so a
-        # retiring leader can wake parked followers to take over the queue.
-        self._eval_cond = threading.Condition(self._lock)
         self._indexes: "OrderedDict[ServiceKey, InfluenceIndex]" = OrderedDict()
         self._builds: Dict[ServiceKey, threading.Event] = {}
-        self._pending: Dict[ServiceKey, List[_EvalRequest]] = {}
-        self._leaders: Dict[ServiceKey, bool] = {}
         self._breakers: Dict[object, CircuitBreaker] = {}
         self._inflight = 0
         self._warned_mutable = False
@@ -838,15 +821,10 @@ class InfluenceService:
         deadline_ms: Optional[float] = None,
         degraded_ok: bool = False,
     ) -> EvaluateOutcome:
-        """RIS spread estimate of ``seeds``, coalescing concurrent callers.
+        """RIS spread estimate of ``seeds`` from the resident index.
 
-        The calling thread enqueues its request; if no leader is active for
-        the index it takes leadership and serves the queued batch in one
-        vectorized pass, otherwise it parks until a leader publishes its
-        result.  A leader retires as soon as its *own* request is answered
-        (bounded latency — no caller becomes a permanent batch executor);
-        if requests remain queued it wakes a parked follower, which takes
-        over leadership for the next batch.
+        The deadline is checked once before the index query, which runs on
+        the calling thread and costs O(RR sets containing a seed).
 
         Returns an :class:`EvaluateOutcome` (a ``float`` subclass).  With
         ``degraded_ok``, an unavailable index degrades to the cached spread
@@ -863,6 +841,12 @@ class InfluenceService:
                     key, compiled, model, theta=theta, deadline=deadline
                 )
                 indices = tuple(index._indices_for(seeds))
+                if deadline is not None:
+                    deadline.check("evaluate")
+                self._bump("evaluate_requests")
+                faults.trigger(faults.SITE_EVALUATE, context=f"seeds={len(indices)}")
+                result = index._estimate_indices(indices)
+                self._bump("evaluate_batches")
             except DEGRADABLE_ERRORS as error:
                 reason = self._note_failure(error, degraded_ok)
                 if reason is None:
@@ -876,119 +860,12 @@ class InfluenceService:
                     )
                 outcome = "degraded"
                 return self._degraded_evaluate(compiled, key, indices, reason)
-            try:
-                result = self._coalesced_evaluate(index, key, indices, deadline)
-            except DEGRADABLE_ERRORS as error:
-                reason = self._note_failure(error, degraded_ok)
-                if reason is None:
-                    raise
-                outcome = "degraded"
-                return self._degraded_evaluate(compiled, key, indices, reason)
             self._remember_spread(key, indices, result)
             outcome = "ok"
             return EvaluateOutcome(result)
         finally:
             self._release()
             self._observe_request("evaluate", outcome, started, deadline)
-
-    def _coalesced_evaluate(
-        self,
-        index: InfluenceIndex,
-        key: ServiceKey,
-        indices: Tuple[int, ...],
-        deadline: Optional[Deadline],
-    ) -> float:
-        if deadline is not None:
-            # Resident-index fast path still honours the budget: a request
-            # that arrives already expired must not join a batch.
-            deadline.check("evaluate")
-        request = _EvalRequest(indices)
-        with self._eval_cond:
-            self._pending.setdefault(key, []).append(request)
-            self._bump("evaluate_requests")
-            while True:
-                if request.error is not None:
-                    raise request.error
-                if request.done:
-                    return request.result
-                if not self._leaders.get(key, False):
-                    self._leaders[key] = True
-                    break
-                if deadline is not None:
-                    remaining = deadline.remaining()
-                    if remaining <= 0:
-                        # Expired while parked: withdraw the request (if no
-                        # leader already claimed it) so the queue stays
-                        # clean, and surface the miss.
-                        pending = self._pending.get(key)
-                        if pending is not None and request in pending:
-                            pending.remove(request)
-                        deadline.check("evaluate-wait")
-                    self._eval_cond.wait(timeout=remaining)
-                else:
-                    self._eval_cond.wait()
-        try:
-            while True:
-                with self._eval_cond:
-                    if request.done or request.error is not None:
-                        self._retire_leader(key)
-                        break
-                    batch = self._pending.pop(key, [])
-                    if not batch:
-                        # Retirement happens in the same critical section
-                        # that observes the state — otherwise a request
-                        # enqueued in between would park behind an exiting
-                        # leader.
-                        self._retire_leader(key)
-                        break
-                    self._bump("evaluate_batches")
-                self._serve_batch(index, batch)
-                with self._eval_cond:
-                    self._eval_cond.notify_all()
-        except BaseException as error:
-            with self._eval_cond:
-                abandoned = self._pending.pop(key, [])
-                for parked in abandoned:
-                    parked.error = error
-                self._retire_leader(key)
-            raise
-        if request.error is not None:
-            raise request.error
-        return request.result
-
-    def _retire_leader(self, key: ServiceKey) -> None:
-        """Release leadership for ``key`` (callers hold ``_eval_cond``).
-
-        Entries are popped, not blanked, so a long-lived service does not
-        accumulate one dict slot per key ever served; parked followers are
-        woken so one of them can claim the queue if work remains.
-        """
-        self._leaders.pop(key, None)
-        if not self._pending.get(key):
-            self._pending.pop(key, None)
-        self._eval_cond.notify_all()
-
-    @staticmethod
-    def _serve_batch(index: InfluenceIndex, batch: List[_EvalRequest]) -> None:
-        try:
-            # Fault-injection site: a chaos plan may kill the leader right
-            # here, mid-batch — the error must reach every parked waiter
-            # exactly once (via the assignment below), never hang them.
-            faults.trigger(faults.SITE_LEADER, context=f"batch={len(batch)}")
-            # Goes through the index so the read holds the lock grow()
-            # mutates the collection under — a concurrent theta-growth must
-            # never interleave with the batched oracle pass.
-            spreads = index._estimate_spreads_indices(
-                [request.seeds for request in batch]
-            )
-        except BaseException as error:  # repro: noqa[REP004] — every waiter gets the error below
-            for request in batch:
-                request.error = error
-                request.done = True
-            return
-        for request, spread in zip(batch, spreads):
-            request.result = float(spread)
-            request.done = True
 
     # -------------------------------------------------------------- telemetry
 

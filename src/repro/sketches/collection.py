@@ -16,14 +16,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import SketchError, SketchIndexError
+from repro.sketches.sampler import expand_csr_positions
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-#: Member entries gathered per pass of the batched spread oracle; bounds the
-#: transient ``requests x chunk`` boolean matrix (a set larger than this
-#: still forms one chunk on its own).
-_SPREADS_CHUNK = 1 << 16
-
 
 class RRSetCollection:
     """A growable collection of RR sets in CSR layout.
@@ -181,7 +176,8 @@ class RRSetCollection:
 
         Returns ``(node_indptr, node_sets)``: node ``v`` appears in sets
         ``node_sets[node_indptr[v]:node_indptr[v + 1]]``.  This is the
-        access structure greedy max coverage walks; building it costs one
+        access structure greedy max coverage walks and, once resident, the
+        route :meth:`estimated_spread` takes; building it costs one
         stable argsort of ``members``, so it is cached here and persisted
         inside index artifacts (where a warm ``select(k)`` would otherwise
         pay the argsort on every reopen).  Deterministic given the CSR:
@@ -237,57 +233,26 @@ class RRSetCollection:
         seed set covers.  Accuracy grows with the number of sets (theta).
         Note this counts the seeds themselves (a root drawn at a seed is
         always covered); the paper's Def. 3 objective excludes seeds, so
-        subtract ``len(seeds)`` when comparing against
+        subtract the number of distinct seeds when comparing against
         :class:`~repro.diffusion.simulation.MonteCarloEngine` estimates.
-        """
-        return self.covered_fraction(seeds) * self.n
 
-    def estimated_spreads(self, seed_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        """Sketch spread estimates for several seed sets in one pass.
-
-        Semantically ``[estimated_spread(s) for s in seed_sets]``, but the
-        member array is walked once for the whole batch: every request's
-        seed mask is gathered against ``members`` simultaneously and reduced
-        per set.  This is the kernel behind the serving layer's request
-        coalescing — R concurrent evaluate calls cost one traversal, not R.
+        With the inverted index resident (built by :meth:`inverted_index`
+        or adopted from an artifact) the covered sets are counted from the
+        seeds' ``node_sets`` ranges, O(sets containing a seed); otherwise
+        one walk over ``members``, O(|members|), which spares a one-shot
+        caller the argsort that building the index costs.  Both routes
+        compute ``covered / num_sets * n``, so their answers are identical.
         """
-        requests = [np.asarray(list(s), dtype=np.int64) for s in seed_sets]
-        count = len(requests)
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        if self.num_sets == 0 or self.n == 0:
-            return np.zeros(count, dtype=np.float64)
-        members, indptr = self.members, self.indptr
-        seed_mask = np.zeros((count, self.n), dtype=bool)
-        for row, seeds in enumerate(requests):
-            seed_mask[row, seeds] = True
-        if members.size == 0:
-            return np.zeros(count, dtype=np.float64)
-        # The member array is walked in set-aligned chunks so the transient
-        # ``requests x chunk`` gather matrix stays bounded regardless of how
-        # many requests a coalesced batch carries.  Within a chunk, reduceat
-        # runs over the non-empty sets only: their starts are strictly
-        # increasing, always valid, and consecutive starts delimit exactly
-        # one set's members (reduceat misbehaves on empty segments — it
-        # returns the element *at* the boundary, and errors when the
-        # boundary equals the slice size; empty sets are never covered, so
-        # they simply don't enter the count).
-        covered_counts = np.zeros(count, dtype=np.int64)
-        set_start = 0
-        while set_start < self.num_sets:
-            limit = indptr[set_start] + _SPREADS_CHUNK
-            set_end = int(np.searchsorted(indptr, limit, side="right")) - 1
-            set_end = min(max(set_end, set_start + 1), self.num_sets)
-            lo, hi = indptr[set_start], indptr[set_end]
-            sizes = np.diff(indptr[set_start:set_end + 1])
-            nonempty = np.flatnonzero(sizes > 0)
-            if hi > lo and nonempty.size:
-                hits = seed_mask[:, members[lo:hi]]
-                starts = indptr[set_start:set_end][nonempty] - lo
-                covered = np.logical_or.reduceat(hits, starts, axis=1)
-                covered_counts += covered.sum(axis=1)
-            set_start = set_end
-        return covered_counts / self.num_sets * self.n
+        self._consolidate()
+        if self._node_indptr is None or self._node_sets is None:
+            return self.covered_fraction(seeds) * self.n
+        if self.num_sets == 0:
+            return 0.0
+        nodes = np.asarray(list(seeds), dtype=np.int64)
+        positions, _ = expand_csr_positions(self._node_indptr, nodes)
+        covered = np.zeros(self.num_sets, dtype=bool)
+        covered[self._node_sets[positions]] = True
+        return int(np.count_nonzero(covered)) / self.num_sets * self.n
 
     @property
     def memory_bytes(self) -> int:

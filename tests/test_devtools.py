@@ -374,7 +374,7 @@ class TestInstrumentedServing:
 
         The full 46-test chaos suite runs under the checker in CI via
         ``REPRO_LOCKCHECK=1`` (see conftest); this in-suite version drives
-        the same build/evaluate/coalesce/grow paths at small scale.
+        the same build/select/evaluate paths at small scale.
         """
         from repro.graphs.generators import erdos_renyi_graph
         from repro.serving import InfluenceService

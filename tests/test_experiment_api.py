@@ -43,6 +43,7 @@ from repro.cli import main as cli_main
 from repro.datasets.registry import load_dataset
 from repro.diffusion.simulation import MonteCarloEngine
 from repro.exceptions import ConfigurationError, SpecError
+from repro.graphs.generators import erdos_renyi_graph
 from repro.serving import InfluenceIndex
 from repro.specs import (
     AlgorithmSpec,
@@ -393,6 +394,20 @@ class TestBackendEquivalence:
         assert sketch.sweep(seeds, [0, 1, 3]) == pytest.approx(
             index.sweep(seeds, [0, 1, 3])
         )
+
+    @pytest.mark.parametrize("backend", [SketchEstimator, IndexEstimator])
+    def test_duplicate_seeds_count_once(self, backend):
+        # Def. 3 excludes each distinct seed once: [a, a] is the seed set
+        # {a}, not a set of two seeds whose spread is clamped to zero.
+        graph = erdos_renyi_graph(60, 0.05, seed=2).compile()
+        estimator = backend(graph, "ic", theta=3000, seed=1)
+        a = graph.labels[int(np.argmax(np.diff(graph.out_indptr)))]
+        assert estimator.estimate([a]) > 0.0
+        assert estimator.estimate([a, a]) == estimator.estimate([a])
+        assert estimator.details([a, a]) == estimator.details([a])
+        assert estimator.sweep([a, a], [0, 1, 2]) == {
+            0: 0.0, 1: estimator.estimate([a]), 2: estimator.estimate([a])
+        }
 
     def test_same_spec_different_backends_one_protocol(self, nethept_compiled):
         # The acceptance check: one ExperimentSpec, executed against the

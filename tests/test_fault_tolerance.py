@@ -14,7 +14,6 @@ import json
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -332,7 +331,7 @@ class TestFaultPlan:
         plan = FaultPlan(
             [FaultRule(faults.SITE_BUILD, "raise", times=1)], seed=FAULT_SEED
         )
-        plan.trigger(faults.SITE_LEADER)  # other site: no effect on counter
+        plan.trigger(faults.SITE_EVALUATE)  # other site: no effect on counter
         with pytest.raises(faults.InjectedFault):
             plan.trigger(faults.SITE_BUILD)
 
@@ -347,7 +346,7 @@ class TestFaultPlan:
 
     def test_uninstalled_hook_is_noop(self):
         faults.uninstall()
-        assert faults.trigger(faults.SITE_LEADER) is None
+        assert faults.trigger(faults.SITE_EVALUATE) is None
 
     def test_context_manager_scopes_plan(self):
         plan = FaultPlan([FaultRule(faults.SITE_BUILD, "raise", times=1)])
@@ -574,55 +573,27 @@ class TestServiceResilience:
         assert service.stats()["degraded_answers"] == 0
         assert service.evaluate(compiled, "ic", [0]) > 0
 
-    def test_leader_death_reaches_every_parked_waiter_exactly_once(
-        self, compiled
-    ):
+    def test_evaluate_fault_degrades_or_raises_then_recovers(self, compiled):
         service = make_service()
-        service.get_index(compiled, "ic")
-        stalled = threading.Event()
-        release = threading.Event()
-
-        def stall(_delay):
-            stalled.set()
-            assert release.wait(timeout=10.0)
-
+        healthy = service.evaluate(compiled, "ic", [0, 1])
         plan = FaultPlan(
-            [
-                FaultRule(faults.SITE_LEADER, "sleep", times=1),
-                FaultRule(faults.SITE_LEADER, "raise", after=1, times=1),
-            ],
+            [FaultRule(faults.SITE_EVALUATE, "raise", times=2)],
             seed=FAULT_SEED,
-            sleep=stall,
         )
-        with fault_injection(plan), ThreadPoolExecutor(max_workers=4) as pool:
-            leader = pool.submit(service.evaluate, compiled, "ic", [0])
-            assert stalled.wait(timeout=10.0)
-            followers = [
-                pool.submit(service.evaluate, compiled, "ic", [i + 1])
-                for i in range(3)
-            ]
-            # All three must be parked behind the stalled leader before it
-            # is released, so they form one batch under the next leader.
-            deadline = threading.Event()
-            for _ in range(2000):
-                with service._lock:
-                    queued = sum(len(v) for v in service._pending.values())
-                if queued == 3:
-                    break
-                deadline.wait(0.005)
-            assert queued == 3
-            release.set()
-            assert leader.result(timeout=10.0) > 0  # first batch unharmed
-            errors = []
-            for future in followers:
-                with pytest.raises(faults.InjectedFault) as excinfo:
-                    future.result(timeout=10.0)
-                errors.append(excinfo.value)
-        # One injected fault, delivered to every parked waiter exactly once.
-        assert len({id(e) for e in errors}) == 1
-        assert plan.fired[-1] == (faults.SITE_LEADER, 1, "raise")
-        # The failure is not sticky: leadership was released cleanly.
-        assert service.evaluate(compiled, "ic", [0]) > 0
+        with fault_injection(plan):
+            degraded = service.evaluate(compiled, "ic", [1, 0], degraded_ok=True)
+            assert degraded.degraded and "cached-spread" in degraded.reason
+            assert float(degraded) == float(healthy)
+            with pytest.raises(faults.InjectedFault):
+                service.evaluate(compiled, "ic", [0, 1])
+            # The rule is spent: the next evaluate reaches the index again.
+            recovered = service.evaluate(compiled, "ic", [0, 1])
+        assert not recovered.degraded and float(recovered) == float(healthy)
+        assert [site for site, *_ in plan.fired] == [faults.SITE_EVALUATE] * 2
+        stats = service.stats()
+        assert stats["degraded_answers"] == 1
+        assert stats["evaluate_requests"] == 4
+        assert stats["evaluate_batches"] == 2
 
     def test_concurrent_eviction_with_inflight_evaluates(
         self, compiled, other_compiled

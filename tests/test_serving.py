@@ -113,7 +113,6 @@ class TestCollectionHelpers:
         assert reloaded == empty
         assert len(reloaded) == 0
         assert reloaded.estimated_spread([1, 2]) == 0.0
-        assert reloaded.estimated_spreads([[1], []]).tolist() == [0.0, 0.0]
 
     def test_all_empty_sets_round_trip(self, tmp_path):
         from repro.serving.artifact import build_metadata
@@ -129,7 +128,7 @@ class TestCollectionHelpers:
         assert reloaded == collection
         # Empty sets are never covered — not even by "every node".
         assert reloaded.covered_fraction(range(5)) == 0.0
-        assert reloaded.estimated_spreads([list(range(5))]).tolist() == [0.0]
+        assert reloaded.estimated_spread(range(5)) == 0.0
 
     def test_memory_bytes_tracks_growth(self):
         collection = RRSetCollection.from_lists(10, [[1, 2, 3]])
@@ -151,45 +150,96 @@ class TestCollectionHelpers:
                 5, np.array([1, 2, 3]), np.array([0, 2, 1, 3])
             )
 
-    def test_estimated_spreads_matches_scalar(self, wc_graph):
-        compiled = wc_graph.compile()
-        sampler = BatchRRSampler(compiled, "ic")
-        collection = RRSetCollection(compiled.number_of_nodes)
-        sampler.sample_into(np.random.default_rng(3), collection, 500, 128)
-        seed_sets = [[0], [1, 2, 3], list(range(10)), []]
-        batched = collection.estimated_spreads(seed_sets)
-        scalar = [collection.estimated_spread(s) for s in seed_sets]
-        assert np.allclose(batched, scalar)
 
-    def test_estimated_spreads_chunked_matches_single_pass(
-        self, wc_graph, monkeypatch
-    ):
-        # Force several chunks through the batched oracle and check it still
-        # agrees with the scalar estimator set-for-set.
-        import repro.sketches.collection as collection_module
+def _sampled(graph, model, theta, seed):
+    compiled = graph.compile()
+    collection = RRSetCollection(compiled.number_of_nodes)
+    BatchRRSampler(compiled, model).sample_into(
+        np.random.default_rng(seed), collection, theta, 128
+    )
+    return collection
 
-        compiled = wc_graph.compile()
-        sampler = BatchRRSampler(compiled, "ic")
-        collection = RRSetCollection(compiled.number_of_nodes)
-        sampler.sample_into(np.random.default_rng(9), collection, 400, 128)
-        monkeypatch.setattr(collection_module, "_SPREADS_CHUNK", 37)
-        seed_sets = [[0], [5, 6], list(range(20)), [], [199]]
-        batched = collection.estimated_spreads(seed_sets)
-        scalar = [collection.estimated_spread(s) for s in seed_sets]
-        assert np.allclose(batched, scalar)
 
-    def test_estimated_spreads_with_interior_and_trailing_empty_sets(self):
-        # Regression: a trailing empty set used to truncate the preceding
-        # set's reduceat segment and underestimate its coverage.
-        collection = RRSetCollection.from_lists(
+def _reopened(tmp_path, collection):
+    """Save ``collection`` as an artifact and reopen it by mmap."""
+    from repro.serving.artifact import build_metadata
+
+    metadata = build_metadata(
+        model="ic", engine_seed=0, theta=len(collection), block_size=64,
+        fingerprint="0" * 64, n=collection.n, m=0,
+    )
+    path = save_index_artifact(tmp_path / "routes.npz", collection, metadata)
+    artifact = load_index_artifact(path, mmap=True)
+    assert artifact.memory_mapped
+    return artifact.collection()
+
+
+def _grown(graph):
+    """An index whose inverted index was built, invalidated by grow, rebuilt."""
+    index = InfluenceIndex.build(graph, "ic", 1000, engine_seed=2)
+    index.estimate_spread([0, 1])
+    index.grow(1500)
+    index.estimate_spread([0, 1])
+    return index.collection
+
+
+#: name -> (collection builder, seed sets answered by both spread routes).
+ROUTE_CASES = {
+    "ic-sampled": (
+        lambda graph, tmp: _sampled(graph, "ic", 500, 3),
+        [[0], [1, 2, 3], list(range(10)), []],
+    ),
+    "ic-sampled-wide": (
+        lambda graph, tmp: _sampled(graph, "ic", 400, 9),
+        [[0], [5, 6], list(range(20)), [], [199]],
+    ),
+    "wc-sampled": (
+        lambda graph, tmp: _sampled(graph, "wc", 600, 4),
+        [[7], [7, 7, 7], [3, 9, 3], list(range(0, 200, 3))],
+    ),
+    # Sets 1, 3 and 4 are empty; nodes 3 and 4 are in no set.
+    "interior-and-trailing-empty-sets": (
+        lambda graph, tmp: RRSetCollection.from_lists(
             5, [[0, 1], [], [2], [], []]
-        )
-        batched = collection.estimated_spreads([[1], [2], [0, 2], [3]])
-        scalar = [
-            collection.estimated_spread(s) for s in ([1], [2], [0, 2], [3])
-        ]
-        assert np.allclose(batched, scalar)
-        assert batched[0] == pytest.approx(5 * (1 / 5))  # set 0 only
+        ),
+        [[1], [2], [0, 2], [2, 2, 0], [3], [4, 4], []],
+    ),
+    "all-empty-artifact": (
+        lambda graph, tmp: _reopened(
+            tmp, RRSetCollection.from_lists(5, [[], [], []])
+        ),
+        [list(range(5)), [1, 1], []],
+    ),
+    "zero-set-artifact": (
+        lambda graph, tmp: _reopened(tmp, RRSetCollection(7)),
+        [[1, 2], [6], []],
+    ),
+    "grown-index": (
+        lambda graph, tmp: _grown(graph),
+        [[0, 1], [0, 0], list(range(40)), []],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_index_route_equals_member_walk(case, wc_graph, tmp_path):
+    """The inverted-index spread route is bit-identical to the member walk."""
+    build, seed_sets = ROUTE_CASES[case]
+    indexed = build(wc_graph, tmp_path)
+    walk = RRSetCollection.from_csr(indexed.n, indexed.members, indexed.indptr)
+    indexed.inverted_index()
+    for seeds in seed_sets:
+        assert walk.estimated_spread(seeds) == indexed.estimated_spread(seeds)
+    # Neither route may build the other's state as a side effect.
+    assert walk._node_sets is None
+
+
+@pytest.mark.parametrize("budget", [1, 8, 200])
+def test_estimate_spread_of_selection_is_exact(wc_graph, budget):
+    # budget 200 = n forces padding with seeds that cover nothing new.
+    index = InfluenceIndex.build(wc_graph, "ic", 1500, engine_seed=6)
+    selection = index.select(budget)
+    assert index.estimate_spread(selection.seeds) == selection.estimated_spread
 
 
 # ------------------------------------------------------------------ artifacts
@@ -503,11 +553,11 @@ class TestInfluenceService:
         service = InfluenceService(default_theta=1000, engine_seed=3)
         index = service.get_index(wc_graph, "ic")
         seeds = index.select(5).seeds
-        assert service.evaluate(wc_graph, "ic", seeds) == pytest.approx(
-            index.estimate_spread(seeds)
+        assert service.evaluate(wc_graph, "ic", seeds) == index.estimate_spread(
+            seeds
         )
 
-    def test_concurrent_evaluate_coalesces_and_agrees(self, wc_graph):
+    def test_concurrent_evaluates_agree_exactly(self, wc_graph):
         service = InfluenceService(default_theta=1500, engine_seed=3)
         index = service.get_index(wc_graph, "ic")
         # 24 requests over 8 workers: 3 full barrier generations, so every
@@ -523,12 +573,11 @@ class TestInfluenceService:
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(query, seed_sets))
-        assert np.allclose(results, expected)
+        assert results == expected
         stats = service.stats()
+        # One index pass per evaluate: nothing is batched.
         assert stats["evaluate_requests"] == len(seed_sets)
-        # Coalescing is opportunistic, but with a barrier forcing 8-way
-        # simultaneous arrival at least one batch must have merged requests.
-        assert stats["evaluate_batches"] <= stats["evaluate_requests"]
+        assert stats["evaluate_batches"] == stats["evaluate_requests"]
 
     def test_concurrent_get_index_builds_once(self, wc_graph):
         service = InfluenceService(default_theta=800)
@@ -544,7 +593,7 @@ class TestInfluenceService:
         assert service.stats()["index_builds"] == 1
 
     def test_evaluate_concurrent_with_growth(self, wc_graph):
-        # Growth mutates the collection under the index lock; coalesced
+        # Growth mutates the collection under the index lock; concurrent
         # evaluates must serialise against it instead of reading torn CSR
         # state.  Results computed before/after a grow differ only by
         # estimator noise, so just assert sanity and absence of crashes.
