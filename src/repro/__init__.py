@@ -6,7 +6,8 @@ The package provides:
 * the **OI** (Opinion-cum-Interaction) diffusion model plus the classical
   IC/WC/LT models and the prior opinion-aware baselines IC-N and OC;
 * the **MEO** problem (maximise the effective opinion spread) and the
-  classical IM problem behind a single :class:`InfluenceMaximizer` facade;
+  classical IM problem, both run through one declarative experiment API
+  (:func:`run_experiment`, :func:`build_selector`, :func:`build_estimator`);
 * the paper's **EaSyIM** and **OSIM** algorithms alongside a full suite of
   competitors (GREEDY/CELF/CELF++, TIM+/IMM, IRIE, SIMPATH, degree and
   PageRank heuristics);
@@ -30,9 +31,10 @@ Quickstart — the declarative experiment API::
     print(result.seeds, result.value)
     print(result.to_json())          # full provenance, repro/run-result@1
 
-The imperative facade (:class:`InfluenceMaximizer`) remains available for
-programmatic use; every spec round-trips through JSON, so the same
-experiment can be checked in as a file and executed with ``repro-im run``.
+For programmatic use, :func:`build_selector` and :func:`build_estimator`
+are the two halves :func:`run_experiment` composes; every spec round-trips
+through JSON, so the same experiment can be checked in as a file and
+executed with ``repro-im run``.
 """
 
 from repro.exceptions import (
@@ -87,17 +89,9 @@ from repro.opinion import annotate_interactions, annotate_opinions
 from repro.opinion.annotate import annotate_graph
 from repro.datasets import available_datasets, load_dataset
 from repro.core import (
-    IMProblem,
-    InfluenceMaximizer,
-    MaximizationResult,
-    MEOProblem,
+    SeedSetEvaluation,
     compare_seed_sets,
     evaluate_seed_prefixes,
-)
-from repro.core.evaluation import (
-    SeedSetEvaluation,
-    index_evaluate_seed_prefixes,
-    sketch_evaluate_seed_prefixes,
 )
 from repro.serving import InfluenceIndex, InfluenceService
 from repro.scoring import ScoreEngine
@@ -189,16 +183,10 @@ __all__ = [
     # datasets
     "load_dataset",
     "available_datasets",
-    # core API
-    "IMProblem",
-    "MEOProblem",
-    "InfluenceMaximizer",
-    "MaximizationResult",
+    # evaluation helpers
     "evaluate_seed_prefixes",
     "compare_seed_sets",
     "SeedSetEvaluation",
-    "sketch_evaluate_seed_prefixes",
-    "index_evaluate_seed_prefixes",
     # serving
     "InfluenceIndex",
     "InfluenceService",

@@ -65,7 +65,7 @@ from repro.algorithms.registry import (
 )
 from repro.diffusion.base import DiffusionModel
 from repro.diffusion.simulation import MonteCarloEngine
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, MissingAnnotationError
 from repro.graphs.digraph import CompiledGraph, DiGraph, Node
 from repro.graphs.fingerprint import graph_fingerprint
 from repro.specs import (
@@ -224,6 +224,9 @@ class SketchEstimator:
         from repro.sketches.sampler import BatchRRSampler
         from repro.utils.rng import ensure_rng
 
+        if theta < 1:
+            # An empty collection would answer every query with 0.0.
+            raise ConfigurationError(f"theta must be >= 1, got {theta}")
         self.model = model
         self.theta = int(theta)
         self.engine_seed = seed
@@ -579,9 +582,9 @@ def build_selector(
     options = dict(spec.options)
     if model is not None and info.model_aware and "model" not in options:
         model_name = model if isinstance(model, str) else model.name
-        # Declarative specs never coerce: an unsupported model raises with
-        # the supported list (the facade's base-layer fallback is opt-in via
-        # algorithm.options.model).
+        # Never coerce: an unsupported model raises with the supported list
+        # (a RIS algorithm on an opinion model's ic/wc/lt base layer is
+        # opt-in via algorithm.options.model).
         check_model_support(spec.name, model_name)
         options["model"] = model_name if info.supported_models is not None else model
     if objective is not None and info.objective_aware and "objective" not in options:
@@ -876,6 +879,14 @@ def run_experiment(
             loaded = spec.graph.build() if graph is None else graph
             dataset = getattr(loaded, "name", None) or spec.graph.dataset
             compiled = loaded.compile() if isinstance(loaded, DiGraph) else loaded
+        if (
+            spec.evaluation.objective != "spread"
+            and isinstance(loaded, DiGraph)
+            and not loaded.has_opinions()
+        ):
+            # Defs. 6/7 are sums over node opinions; an unannotated graph
+            # would silently score every seed set as 0.0.
+            raise MissingAnnotationError("opinion")
         timings["load_seconds"] = time.perf_counter() - started
 
         model = spec.model.build()

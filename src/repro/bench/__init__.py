@@ -9,24 +9,6 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_series_table, format_table, print_experiment
 from repro.bench.experiments import EXPERIMENTS, PaperExperiment, get_experiment
 
-
-def __getattr__(name: str):
-    if name == "ExperimentSpec":
-        # Deprecated alias, warned here (not via repro.bench.experiments) so
-        # the warning points at the user's import site.
-        import warnings
-
-        warnings.warn(
-            "repro.bench.ExperimentSpec was renamed to PaperExperiment "
-            "(the declarative experiment spec now lives at "
-            "repro.specs.ExperimentSpec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PaperExperiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AlgorithmRun",
     "ExperimentResult",

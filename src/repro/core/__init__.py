@@ -1,25 +1,15 @@
-"""Core public API: problem definitions, the facade, and evaluation helpers."""
+"""Evaluation helpers behind the benchmark harness and the figures."""
 
-from repro.core.problem import IMProblem, MEOProblem
-from repro.core.maximizer import InfluenceMaximizer, MaximizationResult
 from repro.core.evaluation import (
     compare_seed_sets,
     evaluate_seed_prefixes,
-    index_evaluate_seed_prefixes,
     normalized_rmse_curve,
-    sketch_evaluate_seed_prefixes,
     SeedSetEvaluation,
 )
 
 __all__ = [
-    "IMProblem",
-    "MEOProblem",
-    "InfluenceMaximizer",
-    "MaximizationResult",
     "SeedSetEvaluation",
     "compare_seed_sets",
     "evaluate_seed_prefixes",
-    "index_evaluate_seed_prefixes",
     "normalized_rmse_curve",
-    "sketch_evaluate_seed_prefixes",
 ]

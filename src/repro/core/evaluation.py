@@ -7,29 +7,23 @@
   common reference model (how Figs. 2, 5c and 5d compare OI/OC/IC seeds).
 * :func:`normalized_rmse_curve` — the normalised-RMSE-vs-seeds metric of
   Fig. 5b.
-* :func:`sketch_evaluate_seed_prefixes` — the RIS alternative to the
-  Monte-Carlo k-sweep: estimate every prefix's spread from one shared
-  RR-sketch collection (``n`` times the covered fraction), so the whole
-  sweep costs one sampling pass instead of ``len(seed_counts)`` simulation
-  campaigns.
-* :func:`index_evaluate_seed_prefixes` — the *warm* variant: the same
-  k-sweep served from a prebuilt :class:`~repro.serving.index.InfluenceIndex`
-  without any resampling at all, so repeated sweeps over a persisted
-  artifact cost only batched coverage passes.
+
+RIS k-sweeps go through :class:`repro.api.SketchEstimator` (a fresh RR-sketch
+pass) or :class:`repro.api.IndexEstimator` (a prebuilt influence index).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
+from repro.api import MonteCarloEstimator
 from repro.diffusion.base import DiffusionModel
-from repro.diffusion.simulation import MonteCarloEngine
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph, DiGraph, Node
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState
 
 
 @dataclass
@@ -40,7 +34,6 @@ class SeedSetEvaluation:
     seed_counts: List[int]
     values: List[float]
     objective: str
-    extras: Dict[str, object] = field(default_factory=dict)
 
     def as_series(self) -> Dict[int, float]:
         return dict(zip(self.seed_counts, self.values))
@@ -60,125 +53,21 @@ def evaluate_seed_prefixes(
 ) -> SeedSetEvaluation:
     """Evaluate prefixes of ``seeds`` at each requested ``k``.
 
-    ``seed_counts`` entries larger than ``len(seeds)`` raise, because the
-    prefix would silently repeat the full set and distort the curve.
-    ``workers`` > 1 spreads each estimate's simulation blocks over that many
-    processes (the result is identical to ``workers=1`` for a fixed seed).
+    A :meth:`MonteCarloEstimator.sweep <repro.api.MonteCarloEstimator.sweep>`
+    wrapped in a :class:`SeedSetEvaluation`: ``seed_counts`` entries outside
+    ``0..len(seeds)`` raise, and ``workers`` > 1 spreads each estimate's
+    simulation blocks over that many processes (the result is identical to
+    ``workers=1`` for a fixed seed).
     """
-    seeds = list(seeds)
-    for k in seed_counts:
-        if k < 0 or k > len(seeds):
-            raise ConfigurationError(
-                f"seed count {k} is outside 0..{len(seeds)}"
-            )
-    engine = MonteCarloEngine(
-        graph, model, simulations=simulations, penalty=penalty, seed=seed,
-        workers=workers,
-    )
-    values: List[float] = []
-    for k in seed_counts:
-        if k == 0:
-            values.append(0.0)
-            continue
-        estimate = engine.estimate(seeds[:k])
-        values.append(estimate.objective(objective))
+    sweep = MonteCarloEstimator(
+        graph, model, objective=objective, simulations=simulations,
+        penalty=penalty, seed=seed, workers=workers,
+    ).sweep(seeds, seed_counts)
     return SeedSetEvaluation(
         label=label or "seeds",
         seed_counts=list(seed_counts),
-        values=values,
+        values=[sweep[int(k)] for k in seed_counts],
         objective=objective,
-    )
-
-
-def sketch_evaluate_seed_prefixes(
-    graph: Union[DiGraph, CompiledGraph],
-    model: str,
-    seeds: Sequence[Node],
-    seed_counts: Sequence[int],
-    theta: int = 20_000,
-    label: str = "",
-    seed: RandomState = 0,
-    block_size: int = 4096,
-) -> SeedSetEvaluation:
-    """Evaluate prefixes of ``seeds`` with the RR-sketch spread oracle.
-
-    Draws ``theta`` reverse-reachable sets under ``model`` (one of the RIS
-    models ``ic``/``wc``/``lt``) and scores every prefix as ``n`` times the
-    fraction of sets it covers — the standard RIS estimator, unbiased for
-    the expected number of active nodes.  The number of distinct seeds is
-    subtracted so the values match the paper's Def. 3 spread (activated
-    nodes *excluding* seeds), i.e. the same objective
-    :func:`evaluate_seed_prefixes` reports.
-    All prefixes share the same collection, so the whole k-sweep costs a
-    single sampling pass; estimator accuracy grows with ``theta``.
-    """
-    from repro.sketches.collection import RRSetCollection
-    from repro.sketches.sampler import BatchRRSampler
-
-    if theta < 1:
-        raise ConfigurationError(f"theta must be >= 1, got {theta}")
-    if block_size < 1:
-        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    seeds = list(seeds)
-    for k in seed_counts:
-        if k < 0 or k > len(seeds):
-            raise ConfigurationError(
-                f"seed count {k} is outside 0..{len(seeds)}"
-            )
-    compiled = graph.compile() if isinstance(graph, DiGraph) else graph
-    indices = compiled.indices_for(seeds)
-    sampler = BatchRRSampler(compiled, model)
-    collection = RRSetCollection(compiled.number_of_nodes)
-    sampler.sample_into(ensure_rng(seed), collection, theta, block_size)
-    values = [
-        max(collection.estimated_spread(indices[:k]) - len(set(indices[:k])), 0.0) if k else 0.0
-        for k in seed_counts
-    ]
-    return SeedSetEvaluation(
-        label=label or "seeds",
-        seed_counts=list(seed_counts),
-        values=values,
-        objective="spread",
-        extras={"estimator": "rr-sketch", "theta": collection.num_sets,
-                "model": model},
-    )
-
-
-def index_evaluate_seed_prefixes(
-    index,
-    seeds: Sequence[Node],
-    seed_counts: Sequence[int],
-    label: str = "",
-) -> SeedSetEvaluation:
-    """Warm k-sweep: evaluate prefixes of ``seeds`` from a prebuilt index.
-
-    ``index`` is an :class:`~repro.serving.index.InfluenceIndex`; no RR sets
-    are sampled — every prefix is one query against the stored inverted
-    index.  Like :func:`sketch_evaluate_seed_prefixes`, the number of
-    distinct seeds is subtracted so the values match the paper's Def. 3
-    spread (activated nodes *excluding* seeds).
-    """
-    seeds = list(seeds)
-    counts = [int(k) for k in seed_counts]
-    for k in counts:
-        if k < 0 or k > len(seeds):
-            raise ConfigurationError(
-                f"seed count {k} is outside 0..{len(seeds)}"
-            )
-    values = [
-        max(index.estimate_spread(seeds[:k]) - len(set(seeds[:k])), 0.0) if k else 0.0
-        for k in counts
-    ]
-    return SeedSetEvaluation(
-        label=label or "seeds",
-        seed_counts=counts,
-        values=values,
-        objective="spread",
-        extras={
-            "estimator": "influence-index",
-            "theta": index.theta,
-            "model": index.model,
-        },
     )
 
 

@@ -520,8 +520,8 @@ class InfluenceIndex:
         fresh or grown index builds once on its first query, so each call
         costs O(sets containing a seed).  This is the raw estimator (seeds
         count themselves); subtract the number of distinct seeds for the
-        paper's Def. 3 objective, as
-        :func:`repro.core.evaluation.index_evaluate_seed_prefixes` does.
+        paper's Def. 3 objective, as :class:`repro.api.IndexEstimator`
+        does.
         """
         return self._estimate_indices(self._indices_for(seeds))
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
@@ -208,6 +207,10 @@ class MetricsServer:
         port: int = 0,
         collect: Optional[Callable[[], object]] = None,
     ) -> None:
+        # Deferred: http.server costs ~30 ms of `import repro` for a class
+        # only a metrics endpoint needs.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         if port < 0 or port > 65535:
             raise ConfigurationError(f"port must be in [0, 65535], got {port}")
         self._registries = tuple(registries)

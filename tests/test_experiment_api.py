@@ -4,15 +4,14 @@ Covers the spec layer's JSON round-trips (including a property-based
 ExperimentSpec -> dict -> ExperimentSpec equality check), schema-style
 validation errors, capability negotiation (registry metadata instead of
 frozensets), backend equivalence (Monte-Carlo vs sketch vs index within
-3 sigma on the same seed set), regression against the pre-redesign entry
-points, the deprecation shims, the public-export audit and the rebuilt CLI.
+3 sigma on the same seed set), the public-export audit and the rebuilt
+CLI.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ from repro.algorithms.registry import (
 from repro.cli import main as cli_main
 from repro.datasets.registry import load_dataset
 from repro.diffusion.simulation import MonteCarloEngine
-from repro.exceptions import ConfigurationError, SpecError
+from repro.exceptions import ConfigurationError, MissingAnnotationError, SpecError
 from repro.graphs.generators import erdos_renyi_graph
 from repro.serving import InfluenceIndex
 from repro.specs import (
@@ -324,16 +323,16 @@ class TestCapabilities:
         assert set(table) == {"monte-carlo", "sketch", "index", "score"}
         assert table["score"]["sigma_comparable"] is False
 
-    def test_maximizer_runs_ris_algorithms_on_base_models(self, nethept):
+    def test_selector_hands_ris_algorithms_the_model_name(self, nethept):
         # Regression: the capability path must hand TIM+/IMM the model *name*
-        # (their constructors reject model instances) when the problem model
-        # is already a supported base layer.
-        problem = repro.IMProblem(nethept.copy(), budget=3, model="wc")
-        result = repro.InfluenceMaximizer(
-            problem, algorithm="tim+", simulations=50, seed=0,
-            epsilon=0.4, max_rr_sets=2000,
-        ).run()
-        assert len(result.seeds) == 3
+        # (their constructors reject model instances) when the requested
+        # model is already a supported base layer.
+        selector = build_selector(
+            AlgorithmSpec(name="tim+", options={"epsilon": 0.4, "max_rr_sets": 2000}),
+            model=repro.get_model("wc"),
+            seed=0,
+        )
+        assert len(selector.select(nethept, 3).seeds) == 3
 
     def test_index_artifact_model_mismatch_is_refused(
         self, nethept_compiled, tmp_path
@@ -347,13 +346,20 @@ class TestCapabilities:
         estimator = build_estimator(spec, nethept_compiled, None)
         assert estimator.model == "ic"
 
-    def test_maximizer_still_coerces_ris_base_layer(self, nethept):
-        # The facade keeps the documented base-layer fallback for RIS
-        # algorithms (tests the capability flag, not a frozenset).
-        repro.annotate_graph(nethept.copy(), opinion="uniform",
-                             interaction="uniform", seed=0)
-        info = algorithm_info("tim+")
-        assert info.base_model_fallback and info.supported_models is not None
+    def test_ris_base_layer_is_explicit_opt_in(self, nethept):
+        # An opinion model's ic/wc/lt base layer reaches a RIS algorithm only
+        # when the spec names it; the capability flag records the restriction.
+        graph = nethept.copy()
+        repro.annotate_graph(graph, opinion="uniform", interaction="uniform", seed=0)
+        assert algorithm_info("tim+").supported_models is not None
+        spec = AlgorithmSpec(
+            name="tim+",
+            options={"model": base_model_layer("oi-wc"), "epsilon": 0.4,
+                     "max_rr_sets": 2000},
+        )
+        selector = build_selector(spec, model="oi-wc", seed=0)
+        assert selector.model == "wc"
+        assert len(selector.select(graph, 3).seeds) == 3
 
 
 # ---------------------------------------------------------- backend equivalence
@@ -485,17 +491,14 @@ class TestRegressionAgainstOldEntryPoints:
         raw = index.estimate_spread(seeds)
         assert estimator.estimate(seeds) == pytest.approx(max(raw - 3, 0.0))
 
-    def test_run_experiment_matches_maximizer(self, nethept):
+    def test_run_experiment_matches_build_selector(self, nethept):
         graph = nethept.copy()
-        problem = repro.IMProblem(graph, budget=4, model="wc")
-        maximized = repro.InfluenceMaximizer(
-            problem, algorithm="degree-discount", evaluate=False
-        ).run()
+        algorithm = AlgorithmSpec(name="degree-discount")
+        selected = build_selector(algorithm, model="wc").select(graph, 4)
         result = run_experiment(
-            _small_spec(budget=4, algorithm=AlgorithmSpec(name="degree-discount")),
-            graph=graph,
+            _small_spec(budget=4, algorithm=algorithm), graph=graph
         )
-        assert list(maximized.seeds) == result.seeds
+        assert list(selected.seeds) == result.seeds
 
     def test_score_estimator_telescopes_residual_scores(self, nethept_compiled):
         from repro.scoring import ScoreEngine
@@ -558,30 +561,44 @@ class TestRunResult:
             run_experiment({"graph": {"dataset": "nethept"}})
 
 
-# ---------------------------------------------------------- deprecation shims
+# ----------------------------------------------------- opinion annotation check
 
 
-class TestDeprecationShims:
-    def test_maximizer_frozensets_warn_and_match_registry(self):
-        import repro.core.maximizer as maximizer
+def _unannotated_meo_spec(objective: str) -> ExperimentSpec:
+    return ExperimentSpec(
+        name="meo-unannotated",
+        graph=GraphSpec(dataset="nethept", scale=0.05, seed=1, annotate=False),
+        model=ModelSpec(name="oi-ic"),
+        algorithm=AlgorithmSpec(name="osim"),
+        budget=3,
+        seed=0,
+        evaluation=EvalSpec(
+            objective=objective,
+            estimator=EstimatorSpec(backend="monte-carlo", simulations=20),
+        ),
+    )
 
-        with pytest.warns(DeprecationWarning, match="algorithm_info"):
-            model_aware = maximizer._MODEL_AWARE_ALGORITHMS
-        with pytest.warns(DeprecationWarning):
-            objective_aware = maximizer._OBJECTIVE_AWARE_ALGORITHMS
-        assert model_aware == frozenset(
-            {"greedy", "celf", "celf++", "modified-greedy", "easyim", "osim",
-             "path-union"}
-        )
-        assert objective_aware == frozenset({"greedy", "celf", "celf++"})
 
-    def test_bench_experiment_spec_alias_warns(self):
-        import repro.bench.experiments as bench_experiments
+class TestOpinionObjectiveNeedsAnnotation:
+    @pytest.mark.parametrize("objective", ["opinion", "effective-opinion"])
+    @pytest.mark.parametrize("entry", ["run_experiment", "cli"])
+    def test_unannotated_graph_is_refused(self, entry, objective, tmp_path):
+        spec = _unannotated_meo_spec(objective)
+        with pytest.raises(MissingAnnotationError, match="'opinion'"):
+            if entry == "cli":
+                cli_main(["run", str(spec.save(tmp_path / "spec.json")), "--json"])
+            else:
+                run_experiment(spec)
 
-        with pytest.warns(DeprecationWarning, match="PaperExperiment"):
-            alias = bench_experiments.ExperimentSpec
-        assert alias is bench_experiments.PaperExperiment
+    def test_spread_objective_needs_no_annotation(self):
+        spec = _unannotated_meo_spec("spread")
+        assert run_experiment(spec).value >= 0.0
 
+
+# ------------------------------------------------------------- public exports
+
+
+class TestPublicExports:
     def test_all_exports_resolve(self):
         missing = [name for name in repro.__all__ if not hasattr(repro, name)]
         assert not missing
@@ -590,6 +607,25 @@ class TestDeprecationShims:
                      "run_experiment", "RunResult", "SpreadEstimator",
                      "build_estimator", "load_experiment_spec", "SpecError"):
             assert name in repro.__all__, name
+
+    def test_no_alias_shims_and_one_evaluation_surface(self):
+        import repro.bench
+        import repro.bench.experiments
+        import repro.core
+
+        # No lazily resolved deprecated names: every export is a real one.
+        for module in (repro, repro.bench, repro.bench.experiments):
+            assert not hasattr(module, "__getattr__"), module.__name__
+        assert sorted(repro.core.__all__) == [
+            "SeedSetEvaluation", "compare_seed_sets", "evaluate_seed_prefixes",
+            "normalized_rmse_curve",
+        ]
+        flags = {key for row in algorithm_capabilities().values() for key in row}
+        assert flags == {
+            "model_aware", "objective_aware", "penalty_aware", "seedable",
+            "simulation_aware", "path_length_aware", "incremental",
+            "opinion_aware", "rr_set_aware", "supported_models",
+        }
 
 
 # ------------------------------------------------------------------------- CLI

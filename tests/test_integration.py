@@ -23,7 +23,8 @@ from repro.algorithms import (
     RandomSelector,
     TIMPlusSelector,
 )
-from repro.core import IMProblem, InfluenceMaximizer, MEOProblem, compare_seed_sets
+from repro.api import build_estimator, build_selector
+from repro.core import compare_seed_sets
 from repro.datasets import (
     generate_customer_records,
     generate_tweet_corpus,
@@ -38,6 +39,16 @@ from repro.opinion.estimation import (
     estimate_opinion_from_history,
 )
 from repro.opinion.topics import ground_truth_opinion_spread
+from repro.specs import AlgorithmSpec, EstimatorSpec
+
+
+def _meo_seeds(graph, budget):
+    """OSIM seeds for the MEO objective, through the spec-driven selector."""
+    selector = build_selector(
+        AlgorithmSpec(name="osim"), model="oi-ic",
+        objective="effective-opinion", penalty=1.0,
+    )
+    return selector.select(graph, budget).seeds
 
 
 class TestClassicalIMPipeline:
@@ -56,17 +67,19 @@ class TestClassicalIMPipeline:
         # The paper's headline: EaSyIM within a small factor of the best method.
         assert easyim_spread >= 0.8 * tim_spread
 
-    def test_facade_consistency_with_direct_selector(self):
+    def test_build_selector_consistency_with_direct_selector(self):
         graph = load_dataset("nethept", scale=0.12, seed=5)
-        problem = IMProblem(graph, budget=4, model="ic")
-        via_facade = InfluenceMaximizer(
-            problem, algorithm="easyim", simulations=50, seed=0,
-            max_path_length=3, update_strategy="none",
-        ).run()
+        via_spec = build_selector(
+            AlgorithmSpec(
+                name="easyim",
+                options={"max_path_length": 3, "update_strategy": "none"},
+            ),
+            model="ic", objective="spread", seed=0,
+        ).select(graph, 4)
         direct = EaSyIMSelector(
             max_path_length=3, update_strategy="none", seed=0
         ).select(graph, 4)
-        assert via_facade.seeds == direct.seeds
+        assert via_spec.seeds == direct.seeds
 
 
 class TestMEOPipeline:
@@ -83,13 +96,16 @@ class TestMEOPipeline:
         # oblivious structural heuristic (the Fig. 2 motivation).
         assert osim_value >= degree_value - 0.25
 
-    def test_full_meo_facade_run(self):
+    def test_full_meo_run(self):
         graph = load_dataset("nethept", scale=0.15, seed=41)
         annotate_graph(graph, opinion="normal", interaction="uniform", seed=41)
-        problem = MEOProblem(graph, budget=5, model="oi-ic", penalty=1.0)
-        result = InfluenceMaximizer(problem, algorithm="osim", simulations=200, seed=1).run()
-        assert len(result.seeds) == 5
-        assert np.isfinite(result.expected_spread)
+        seeds = _meo_seeds(graph, 5)
+        estimator = build_estimator(
+            EstimatorSpec(backend="monte-carlo", simulations=200, engine_seed=1),
+            graph, "oi-ic", objective="effective-opinion", penalty=1.0,
+        )
+        assert len(seeds) == 5
+        assert np.isfinite(estimator.estimate(seeds))
 
     def test_lambda_changes_selection_objective(self):
         graph = load_dataset("nethept", scale=0.15, seed=51)
@@ -158,12 +174,11 @@ class TestChurnPipeline:
         analysis = ChurnAnalysis(similarity_threshold=0.85, max_neighbors=15, seed=12)
         graph = analysis.build_opinion_graph(records.attributes, records.churn_labels())
         assert graph.has_opinions()
-        problem = MEOProblem(graph, budget=5, model="oi-ic", penalty=1.0)
-        result = InfluenceMaximizer(problem, algorithm="osim", simulations=150, seed=2).run()
-        assert len(result.seeds) == 5
+        seeds = _meo_seeds(graph, 5)
+        assert len(seeds) == 5
         # Retention targets should skew towards positively-opinionated customers:
         # seeding likely-churners (opinion ~ -1) cannot maximise effective opinion.
-        seed_opinions = [graph.opinion(s) for s in result.seeds]
+        seed_opinions = [graph.opinion(s) for s in seeds]
         assert float(np.mean(seed_opinions)) > -0.5
 
     def test_compare_models_on_churn_graph(self):

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -345,6 +349,18 @@ class TestExporters:
         assert "version=0.0.4" in content_type
         assert parsed == snapshot(reg)
         assert collected  # the pre-scrape hook ran
+
+    def test_import_repro_does_not_load_http_server(self):
+        # MetricsServer imports http.server on construction, keeping it off
+        # the cold-start path of every CLI launch.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = 'import sys, repro; print("http.server" in sys.modules)'
+        env = dict(os.environ, PYTHONPATH=str(src))
+        output = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert output.strip() == "False"
 
 
 # ----------------------------------------------------- instrumented serving
