@@ -9,7 +9,6 @@ below the simulation-based greedy baseline.
 from __future__ import annotations
 
 from repro.algorithms import ModifiedGreedySelector, OSIMSelector
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
 
 from helpers import load_bench_graph, one_shot
@@ -23,10 +22,7 @@ def _run() -> list[dict]:
     rows: list[dict] = []
     for budget in BUDGETS:
         for length in PATH_LENGTHS:
-            run = measure_selection(
-                graph, OSIMSelector(max_path_length=length, seed=0), budget,
-                dataset="nethept",
-            )
+            run = OSIMSelector(max_path_length=length, seed=0).select(graph, budget)
             rows.append(
                 {
                     "algorithm": f"OSIM l={length}",
@@ -34,9 +30,8 @@ def _run() -> list[dict]:
                     "time (s)": round(run.runtime_seconds, 4),
                 }
             )
-        greedy_run = measure_selection(
-            graph, ModifiedGreedySelector(model="oi-ic", simulations=15, seed=0), budget,
-            dataset="nethept",
+        greedy_run = ModifiedGreedySelector(model="oi-ic", simulations=15, seed=0).select(
+            graph, budget
         )
         rows.append(
             {

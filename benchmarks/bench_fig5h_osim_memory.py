@@ -10,8 +10,8 @@ opinion-aware pipeline stays linear-space.
 from __future__ import annotations
 
 from repro.algorithms import ModifiedGreedySelector, OSIMSelector
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
+from repro.utils.memory import MemoryTracker
 
 from helpers import load_bench_graph, one_shot
 
@@ -23,20 +23,20 @@ def _run() -> list[dict]:
     rows: list[dict] = []
     for dataset in DATASETS:
         graph = load_bench_graph(dataset, scale=0.3, annotated=True, opinion="uniform")
-        osim_run = measure_selection(
-            graph, OSIMSelector(max_path_length=3, seed=0), BUDGET, dataset=dataset
-        )
-        greedy_run = measure_selection(
-            graph, ModifiedGreedySelector(model="oi-ic", simulations=10, seed=0),
-            BUDGET, dataset=dataset,
-        )
+        compiled = graph.compile()
+        with MemoryTracker() as osim:
+            OSIMSelector(max_path_length=3, seed=0).select(compiled, BUDGET)
+        with MemoryTracker() as greedy:
+            ModifiedGreedySelector(model="oi-ic", simulations=10, seed=0).select(
+                compiled, BUDGET
+            )
         rows.append(
             {
                 "dataset": dataset,
                 "n": graph.number_of_nodes,
                 "m": graph.number_of_edges,
-                "OSIM memory (MB)": round(osim_run.peak_memory_mb, 3),
-                "Modified-GREEDY memory (MB)": round(greedy_run.peak_memory_mb, 3),
+                "OSIM memory (MB)": round(osim.peak_mb, 3),
+                "Modified-GREEDY memory (MB)": round(greedy.peak_mb, 3),
             }
         )
     return rows

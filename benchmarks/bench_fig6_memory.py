@@ -15,8 +15,8 @@ from repro.algorithms import (
     SimPathSelector,
     TIMPlusSelector,
 )
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
+from repro.utils.memory import MemoryTracker
 
 from helpers import load_bench_graph, one_shot
 
@@ -30,27 +30,19 @@ def _run() -> list[dict]:
         graph = load_bench_graph(dataset, scale=0.3)
         lt_graph = graph.copy()
         lt_graph.set_linear_threshold_weights()
-        measurements = {
-            "EaSyIM": measure_selection(
-                graph, EaSyIMSelector(max_path_length=3, seed=0), BUDGET, dataset=dataset
-            ),
-            "IRIE": measure_selection(
-                graph, IRIESelector(iterations=10), BUDGET, dataset=dataset
-            ),
-            "CELF++": measure_selection(
-                graph, CELFSelector(model="ic", simulations=8, seed=0), BUDGET, dataset=dataset
-            ),
-            "SIMPATH": measure_selection(
-                lt_graph, SimPathSelector(eta=1e-2, max_path_length=3), BUDGET, dataset=dataset
-            ),
-            "TIM+": measure_selection(
-                graph, TIMPlusSelector(epsilon=0.3, max_rr_sets=40_000, seed=0),
-                BUDGET, dataset=dataset,
-            ),
+        compiled, lt_compiled = graph.compile(), lt_graph.compile()
+        runs = {
+            "EaSyIM": (EaSyIMSelector(max_path_length=3, seed=0), compiled),
+            "IRIE": (IRIESelector(iterations=10), compiled),
+            "CELF++": (CELFSelector(model="ic", simulations=8, seed=0), compiled),
+            "SIMPATH": (SimPathSelector(eta=1e-2, max_path_length=3), lt_compiled),
+            "TIM+": (TIMPlusSelector(epsilon=0.3, max_rr_sets=40_000, seed=0), compiled),
         }
         row = {"dataset": dataset}
-        for label, run in measurements.items():
-            row[f"{label} (MB)"] = round(run.peak_memory_mb, 3)
+        for label, (selector, selection_graph) in runs.items():
+            with MemoryTracker() as tracker:
+                selector.select(selection_graph, BUDGET)
+            row[f"{label} (MB)"] = round(tracker.peak_mb, 3)
         rows.append(row)
     return rows
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import CELFSelector, EaSyIMSelector, TIMPlusSelector
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
 
 from helpers import load_bench_graph, one_shot
@@ -32,20 +31,14 @@ def _run(dataset: str, model: str) -> list[dict]:
         graph.set_linear_threshold_weights()
     rows: list[dict] = []
     for length in PATH_LENGTHS:
-        run = measure_selection(
-            graph, EaSyIMSelector(max_path_length=length, model=model, seed=0),
-            BUDGET, dataset=dataset,
-        )
+        run = EaSyIMSelector(max_path_length=length, model=model, seed=0).select(graph, BUDGET)
         rows.append({"algorithm": f"EaSyIM l={length}", "time (s)": round(run.runtime_seconds, 4)})
     tim_model = model if model in ("ic", "wc", "lt") else "ic"
-    tim_run = measure_selection(
-        graph, TIMPlusSelector(model=tim_model, epsilon=0.3, max_rr_sets=40_000, seed=0),
-        BUDGET, dataset=dataset,
-    )
+    tim_run = TIMPlusSelector(
+        model=tim_model, epsilon=0.3, max_rr_sets=40_000, seed=0
+    ).select(graph, BUDGET)
     rows.append({"algorithm": "TIM+", "time (s)": round(tim_run.runtime_seconds, 4)})
-    celf_run = measure_selection(
-        graph, CELFSelector(model=model, simulations=10, seed=0), BUDGET, dataset=dataset
-    )
+    celf_run = CELFSelector(model=model, simulations=10, seed=0).select(graph, BUDGET)
     rows.append({"algorithm": "CELF++ (CELF core)", "time (s)": round(celf_run.runtime_seconds, 4)})
     return rows
 

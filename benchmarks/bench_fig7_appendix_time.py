@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import EaSyIMSelector, IRIESelector, OSIMSelector, SimPathSelector
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
 
 from helpers import load_bench_graph, one_shot
@@ -22,21 +21,13 @@ PATH_LENGTHS = (1, 3, 5)
 
 def _run_osim_growth() -> list[dict]:
     rows: list[dict] = []
-    for dataset, model, weighting in (
-        ("hepph", "oc", "lt"),
-        ("dblp", "oi-ic", "ic"),
-        ("youtube", "oi-ic", "ic"),
-    ):
+    for dataset, model in (("hepph", "oc"), ("dblp", "oi-ic"), ("youtube", "oi-ic")):
         graph = load_bench_graph(dataset, scale=0.3, annotated=True, opinion="uniform")
-        if weighting == "lt":
+        if model == "oc":
             graph = graph.copy()
             graph.set_linear_threshold_weights()
         for length in PATH_LENGTHS:
-            run = measure_selection(
-                graph,
-                OSIMSelector(max_path_length=length, model=model, weighting=weighting, seed=0),
-                BUDGET, dataset=dataset,
-            )
+            run = OSIMSelector(max_path_length=length, model=model, seed=0).select(graph, BUDGET)
             rows.append(
                 {
                     "dataset": dataset,
@@ -55,20 +46,14 @@ def _run_heuristic_comparison(model: str) -> list[dict]:
         if model == "lt":
             graph = graph.copy()
             graph.set_linear_threshold_weights()
-        easyim_run = measure_selection(
-            graph, EaSyIMSelector(max_path_length=3, model=model, seed=0),
-            BUDGET, dataset=dataset,
-        )
+        easyim_run = EaSyIMSelector(max_path_length=3, model=model, seed=0).select(graph, BUDGET)
         if model == "wc":
             competitor_name = "IRIE"
-            competitor_run = measure_selection(
-                graph, IRIESelector(weighting="wc", iterations=15), BUDGET, dataset=dataset
-            )
+            competitor = IRIESelector(weighting="wc", iterations=15)
         else:
             competitor_name = "SIMPATH"
-            competitor_run = measure_selection(
-                graph, SimPathSelector(eta=1e-3, max_path_length=4), BUDGET, dataset=dataset
-            )
+            competitor = SimPathSelector(eta=1e-3, max_path_length=4)
+        competitor_run = competitor.select(graph, BUDGET)
         rows.append(
             {
                 "dataset": dataset,

@@ -11,7 +11,6 @@ billion-edge graphs on commodity hardware in the paper.
 from __future__ import annotations
 
 from repro.algorithms import EaSyIMSelector
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
 from repro.datasets import load_dataset
 from repro.utils.memory import MemoryTracker
@@ -29,16 +28,15 @@ def _run() -> list[dict]:
         with MemoryTracker() as load_tracker:
             graph = load_dataset(dataset, scale=SCALE, seed=23)
             compiled = graph.compile()
-        run = measure_selection(
-            compiled, EaSyIMSelector(max_path_length=3, seed=0), BUDGET, dataset=dataset
-        )
+        with MemoryTracker() as execution:
+            run = EaSyIMSelector(max_path_length=3, seed=0).select(compiled, BUDGET)
         rows.append(
             {
                 "dataset": dataset,
                 "n": compiled.number_of_nodes,
                 "m": compiled.number_of_edges,
                 "graph loading (MB)": round(load_tracker.peak_mb, 2),
-                "execution memory (MB)": round(run.peak_memory_mb, 2),
+                "execution memory (MB)": round(execution.peak_mb, 2),
                 "time (s)": round(run.runtime_seconds, 3),
             }
         )

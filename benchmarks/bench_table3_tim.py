@@ -10,8 +10,8 @@ argument.
 from __future__ import annotations
 
 from repro.algorithms import EaSyIMSelector, TIMPlusSelector
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
+from repro.utils.memory import MemoryTracker
 
 from helpers import load_bench_graph, one_shot
 
@@ -22,24 +22,24 @@ BUDGET = 10
 def _run() -> list[dict]:
     rows: list[dict] = []
     for dataset in DATASETS:
-        graph = load_bench_graph(dataset, scale=0.4)
-        easyim = measure_selection(
-            graph, EaSyIMSelector(max_path_length=1, seed=0), BUDGET, dataset=dataset
-        )
-        tim = measure_selection(
-            graph, TIMPlusSelector(epsilon=0.1, max_rr_sets=60_000, seed=0),
-            BUDGET, dataset=dataset,
-        )
+        compiled = load_bench_graph(dataset, scale=0.4).compile()
+        with MemoryTracker() as easyim_memory:
+            easyim = EaSyIMSelector(max_path_length=1, seed=0).select(compiled, BUDGET)
+        with MemoryTracker() as tim_memory:
+            tim = TIMPlusSelector(epsilon=0.1, max_rr_sets=60_000, seed=0).select(
+                compiled, BUDGET
+            )
         memory_gain = (
-            tim.peak_memory_mb / easyim.peak_memory_mb if easyim.peak_memory_mb > 0 else float("inf")
+            tim_memory.peak_mb / easyim_memory.peak_mb
+            if easyim_memory.peak_mb > 0 else float("inf")
         )
         rows.append(
             {
                 "dataset": dataset,
                 "TIM+ time (s)": round(tim.runtime_seconds, 3),
                 "EaSyIM l=1 time (s)": round(easyim.runtime_seconds, 3),
-                "TIM+ memory (MB)": round(tim.peak_memory_mb, 3),
-                "EaSyIM l=1 memory (MB)": round(easyim.peak_memory_mb, 3),
+                "TIM+ memory (MB)": round(tim_memory.peak_mb, 3),
+                "EaSyIM l=1 memory (MB)": round(easyim_memory.peak_mb, 3),
                 "memory gain (x)": round(memory_gain, 1),
             }
         )

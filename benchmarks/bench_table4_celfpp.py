@@ -9,8 +9,8 @@ check the direction of both gaps (EaSyIM faster and no more memory-hungry).
 from __future__ import annotations
 
 from repro.algorithms import CELFPlusPlusSelector, EaSyIMSelector
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
+from repro.utils.memory import MemoryTracker
 
 from helpers import load_bench_graph, one_shot
 
@@ -21,14 +21,13 @@ BUDGET = 10
 def _run() -> list[dict]:
     rows: list[dict] = []
     for dataset in DATASETS:
-        graph = load_bench_graph(dataset, scale=0.25)
-        easyim = measure_selection(
-            graph, EaSyIMSelector(max_path_length=1, seed=0), BUDGET, dataset=dataset
-        )
-        celfpp = measure_selection(
-            graph, CELFPlusPlusSelector(model="ic", simulations=15, seed=0),
-            BUDGET, dataset=dataset,
-        )
+        compiled = load_bench_graph(dataset, scale=0.25).compile()
+        with MemoryTracker() as easyim_memory:
+            easyim = EaSyIMSelector(max_path_length=1, seed=0).select(compiled, BUDGET)
+        with MemoryTracker() as celfpp_memory:
+            celfpp = CELFPlusPlusSelector(model="ic", simulations=15, seed=0).select(
+                compiled, BUDGET
+            )
         time_gain = (
             celfpp.runtime_seconds / easyim.runtime_seconds
             if easyim.runtime_seconds > 0 else float("inf")
@@ -39,8 +38,8 @@ def _run() -> list[dict]:
                 "CELF++ time (s)": round(celfpp.runtime_seconds, 3),
                 "EaSyIM l=1 time (s)": round(easyim.runtime_seconds, 3),
                 "time gain (x)": round(time_gain, 1),
-                "CELF++ memory (MB)": round(celfpp.peak_memory_mb, 3),
-                "EaSyIM l=1 memory (MB)": round(easyim.peak_memory_mb, 3),
+                "CELF++ memory (MB)": round(celfpp_memory.peak_mb, 3),
+                "EaSyIM l=1 memory (MB)": round(easyim_memory.peak_mb, 3),
             }
         )
     return rows

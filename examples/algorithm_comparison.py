@@ -19,19 +19,25 @@ Run with::
 from __future__ import annotations
 
 import repro
-from repro.bench.harness import measure_selection
 from repro.bench.reporting import format_table
+from repro.utils.memory import MemoryTracker
 
 BUDGET = 10
 SIMULATIONS = 300
 SEED = 29
 
 
+def run(compiled: repro.CompiledGraph, name: str, options: dict):
+    """Select ``BUDGET`` seeds with one algorithm, tracking its extra memory."""
+    with MemoryTracker() as tracker:
+        selection = repro.get_algorithm(name, **options).select(compiled, BUDGET)
+    return selection, tracker.peak_mb
+
+
 def main() -> None:
     graph = repro.load_dataset("nethept", scale=0.5, seed=SEED)
     repro.annotate_graph(graph, opinion="uniform", interaction="uniform", seed=SEED)
-    lt_graph = graph.copy()
-    lt_graph.set_linear_threshold_weights()
+    compiled = graph.compile()
     print(f"Dataset: {graph.number_of_nodes} nodes, {graph.number_of_edges} edges, "
           f"budget k={BUDGET}\n")
 
@@ -57,13 +63,13 @@ def main() -> None:
     }
     rows = []
     for label, (name, options) in opinion_oblivious.items():
-        run = measure_selection(graph, name, BUDGET, dataset="nethept", **options)
+        selection, memory_mb = run(compiled, name, options)
         rows.append(
             {
                 "algorithm": label,
-                "expected spread (IC)": round(ic_estimator.estimate(run.seeds), 1),
-                "time (s)": round(run.runtime_seconds, 3),
-                "memory (MB)": round(run.peak_memory_mb, 2),
+                "expected spread (IC)": round(ic_estimator.estimate(selection.seeds), 1),
+                "time (s)": round(selection.runtime_seconds, 3),
+                "memory (MB)": round(memory_mb, 2),
             }
         )
     rows.sort(key=lambda r: -r["expected spread (IC)"])
@@ -77,15 +83,15 @@ def main() -> None:
     }
     rows = []
     for label, (name, options) in opinion_aware.items():
-        run = measure_selection(graph, name, BUDGET, dataset="nethept", **options)
+        selection, memory_mb = run(compiled, name, options)
         rows.append(
             {
                 "algorithm": label,
                 "effective opinion spread (OI)": round(
-                    oi_estimator.estimate(run.seeds), 2
+                    oi_estimator.estimate(selection.seeds), 2
                 ),
-                "time (s)": round(run.runtime_seconds, 3),
-                "memory (MB)": round(run.peak_memory_mb, 2),
+                "time (s)": round(selection.runtime_seconds, 3),
+                "memory (MB)": round(memory_mb, 2),
             }
         )
     rows.sort(key=lambda r: -r["effective opinion spread (OI)"])

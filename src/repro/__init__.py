@@ -13,7 +13,8 @@ The package provides:
   PageRank heuristics);
 * synthetic stand-ins for the paper's datasets and case studies (Table 2
   graphs, the Twitter topic pipeline, the PAKDD churn pipeline);
-* a benchmark harness regenerating every table and figure of the evaluation.
+* the experiment registry and reporting behind the paper benchmarks
+  (``benchmarks/bench_*.py``), which regenerate every table and figure.
 
 Quickstart — the declarative experiment API::
 
@@ -88,11 +89,6 @@ from repro.algorithms import (
 from repro.opinion import annotate_interactions, annotate_opinions
 from repro.opinion.annotate import annotate_graph
 from repro.datasets import available_datasets, load_dataset
-from repro.core import (
-    SeedSetEvaluation,
-    compare_seed_sets,
-    evaluate_seed_prefixes,
-)
 from repro.serving import InfluenceIndex, InfluenceService
 from repro.scoring import ScoreEngine
 from repro.specs import (
@@ -183,10 +179,6 @@ __all__ = [
     # datasets
     "load_dataset",
     "available_datasets",
-    # evaluation helpers
-    "evaluate_seed_prefixes",
-    "compare_seed_sets",
-    "SeedSetEvaluation",
     # serving
     "InfluenceIndex",
     "InfluenceService",

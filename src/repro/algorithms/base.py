@@ -2,8 +2,8 @@
 
 Every algorithm exposes the same contract: construct with its configuration,
 then call :meth:`SeedSelector.select` with a graph and a budget ``k``.  The
-result records the seeds *in selection order*, which lets the benchmark
-harness evaluate every prefix (the ``k``-sweeps in the paper's figures)
+result records the seeds *in selection order*, which lets an estimator's
+``sweep`` evaluate every prefix (the ``k``-sweeps in the paper's figures)
 without re-running the algorithm per ``k``.
 """
 

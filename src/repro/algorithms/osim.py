@@ -86,6 +86,27 @@ def osim_scores(
     return delta
 
 
+def osim_graph(graph: CompiledGraph, model_name: str) -> CompiledGraph:
+    """The graph OSIM scores when selecting for ``model_name``.
+
+    OC mixes opinions as OI does with ``phi = 1`` on every edge (see
+    :mod:`repro.diffusion.oc`), so under OC OSIM scores a copy of ``graph``
+    whose interactions are all 1 (``psi = 1/2``).  Under every other model
+    it scores ``graph`` itself, with its annotated interactions.
+    """
+    if str(model_name).lower() != "oc":
+        return graph
+    ones = np.ones_like(graph.out_interaction)
+    return CompiledGraph(
+        graph.labels, graph.index_of,
+        graph.out_indptr, graph.out_indices, graph.out_probability, ones,
+        graph.out_weight,
+        graph.in_indptr, graph.in_indices, graph.in_probability, ones,
+        graph.in_weight,
+        graph.opinions, graph.thresholds,
+    )
+
+
 class OSIMSelector(ScoreGreedySelector):
     """ScoreGREEDY with OSIM score assignment — the paper's MEO heuristic.
 
@@ -93,7 +114,8 @@ class OSIMSelector(ScoreGreedySelector):
     :class:`~repro.scoring.engine.ScoreEngine` (which also fuses OSIM's three
     per-hop scatters into one stacked pass); pass ``incremental=False`` for
     the historical full-recompute driver (identical seed sets, asserted by
-    the test suite).
+    the test suite).  Under the OC model both drivers score
+    :func:`osim_graph`'s ``phi = 1`` view of the graph.
     """
 
     name = "osim"
@@ -110,13 +132,12 @@ class OSIMSelector(ScoreGreedySelector):
         incremental: bool = True,
         fallback_fraction: Optional[float] = None,
     ) -> None:
+        from repro.algorithms.registry import base_model_layer
         from repro.scoring import DEFAULT_FALLBACK_FRACTION, ScoreEngine
 
         model_name = model if isinstance(model, str) else model.name
         if weighting is None:
-            weighting = "lt" if model_name.endswith("lt") else (
-                "wc" if model_name.endswith("wc") else "ic"
-            )
+            weighting = base_model_layer(model_name)
         self.max_path_length = max_path_length
         self.weighting = weighting
         self.incremental = incremental
@@ -149,6 +170,9 @@ class OSIMSelector(ScoreGreedySelector):
             seed=seed,
             engine_factory=engine_factory if incremental else None,
         )
+
+    def _select(self, graph: CompiledGraph, budget: int) -> tuple[list[int], dict]:
+        return super()._select(osim_graph(graph, self.model.name), budget)
 
     def __repr__(self) -> str:
         return (

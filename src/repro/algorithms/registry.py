@@ -1,7 +1,7 @@
 """Name-based lookup of seed-selection algorithms, with capability metadata.
 
 Mirrors :mod:`repro.diffusion.registry` for algorithms: the public API, the
-CLI and the benchmark harness ask for algorithms by short string identifiers
+CLI and the benchmarks ask for algorithms by short string identifiers
 and pass configuration as keyword arguments.
 
 Each registry entry is an :class:`AlgorithmInfo` declaring what the
@@ -178,14 +178,18 @@ def algorithm_capabilities() -> Dict[str, Dict[str, object]]:
 def base_model_layer(model_name: str) -> str:
     """The ic/wc/lt base layer of a (possibly opinion-aware) model name.
 
-    The RIS algorithms sample reverse-reachable sets under the
-    opinion-oblivious first layer of the diffusion process; ``oi-lt`` maps
-    to ``lt``, ``oi-wc`` to ``wc``, everything else (``oi-ic``, ``icn``,
-    ``oc``, ``ic`` itself) to ``ic``.
+    The opinion-oblivious first layer of the diffusion process: the layer
+    the RIS algorithms sample reverse-reachable sets under and whose edge
+    weights EaSyIM/OSIM walk.  ``oi-lt`` maps to ``lt``, ``oi-wc`` to
+    ``wc``, ``oc`` to ``lt`` (OC activates nodes by LT, see
+    :mod:`repro.diffusion.oc`), everything else (``oi-ic``, ``icn``, ``ic``
+    itself) to ``ic``.
     """
     name = str(model_name).lower()
     if name in RIS_MODELS:
         return name
+    if name == "oc":
+        return "lt"
     # Match by name segment, not suffix: "lt-live-edge" is an LT-equivalent
     # sampler, not an IC variant.
     parts = name.split("-")

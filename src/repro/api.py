@@ -377,11 +377,13 @@ class ScoreEstimator:
         objective: str = "spread",
         max_path_length: int = 3,
     ) -> None:
+        from repro.algorithms.osim import osim_graph
         from repro.algorithms.registry import base_model_layer
 
-        self.graph = graph.compile() if isinstance(graph, DiGraph) else graph
+        compiled = graph.compile() if isinstance(graph, DiGraph) else graph
         self.objective = objective
         self.algorithm = "easyim" if objective == "spread" else "osim"
+        self.graph = osim_graph(compiled, model) if self.algorithm == "osim" else compiled
         self.weighting = base_model_layer(model)
         self.max_path_length = int(max_path_length)
         self._cache_key: Optional[tuple] = None

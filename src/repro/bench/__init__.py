@@ -1,22 +1,14 @@
-"""Benchmark harness: experiment runners and tabular reporting."""
+"""Paper-benchmark support: experiment registry, quality metrics and tabular reporting."""
 
-from repro.bench.harness import (
-    AlgorithmRun,
-    ExperimentResult,
-    measure_selection,
-    run_k_sweep,
-)
-from repro.bench.reporting import format_series_table, format_table, print_experiment
+from repro.bench.reporting import format_series_table, format_table
 from repro.bench.experiments import EXPERIMENTS, PaperExperiment, get_experiment
+from repro.bench.metrics import normalized_rmse_curve, spread_deviation_percent
 
 __all__ = [
-    "AlgorithmRun",
-    "ExperimentResult",
-    "measure_selection",
-    "run_k_sweep",
     "format_table",
     "format_series_table",
-    "print_experiment",
+    "normalized_rmse_curve",
+    "spread_deviation_percent",
     "EXPERIMENTS",
     "PaperExperiment",
     "get_experiment",

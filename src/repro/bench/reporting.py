@@ -1,4 +1,4 @@
-"""Plain-text tabular reporting for the benchmark harness.
+"""Plain-text tabular reporting for the paper benchmarks.
 
 Benchmarks print the same rows/series the paper's tables and figures report,
 so a reader can diff the regenerated output against the published numbers.
@@ -8,9 +8,7 @@ text tables that render fine in a terminal or a log file.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
-
-from repro.core.evaluation import SeedSetEvaluation
+from typing import Dict, List, Mapping, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
@@ -42,29 +40,26 @@ def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
 
 
 def format_series_table(
-    series: Iterable[SeedSetEvaluation],
+    series: Mapping[str, Mapping[int, float]],
     value_label: str = "value",
     title: str = "",
 ) -> str:
-    """Render several k-sweep series side by side (one column per series)."""
-    series = list(series)
+    """Render labelled ``{k: value}`` curves side by side (one column per curve).
+
+    Rows cover every ``k`` of any curve, in increasing order; a curve
+    without a value at some ``k`` leaves that cell blank.
+    """
     if not series:
         return f"{title}\n(no series)" if title else "(no series)"
-    seed_counts = series[0].seed_counts
+    seed_counts = sorted({k for curve in series.values() for k in curve})
     rows: List[Dict[str, object]] = []
-    for position, k in enumerate(seed_counts):
+    for k in seed_counts:
         row: Dict[str, object] = {"k": k}
-        for evaluation in series:
-            row[evaluation.label] = evaluation.values[position]
+        for label, curve in series.items():
+            row[label] = curve.get(k, "")
         rows.append(row)
     heading = title or f"{value_label} vs #seeds"
     return format_table(rows, title=heading)
-
-
-def print_experiment(title: str, body: str) -> None:
-    """Print one experiment block with a visible separator."""
-    separator = "=" * max(len(title), 20)
-    print(f"\n{separator}\n{title}\n{separator}\n{body}\n")
 
 
 def _format_value(value: object) -> str:

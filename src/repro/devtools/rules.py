@@ -16,7 +16,7 @@ REP004    no-swallowed-except     no bare/broad except that fails to re-raise
 REP005    csr-immutability        CompiledGraph CSR arrays mutate only in graphs/
 REP006    all-exports             __all__ present in packages, bound + complete
 REP007    lock-order              serving locks acquired in declared order
-REP008    no-print                library code never prints (CLI/bench excepted)
+REP008    no-print                library code never prints (CLI excepted)
 REP009    telemetry-conventions   metric names are repro_-prefixed snake_case,
                                   registered via the registry (no raw dict tallies)
 REP010    no-raw-pools            worker processes are spawned only through
@@ -643,9 +643,9 @@ class NoPrintRule(Rule):
 
     code = "REP008"
     name = "no-print"
-    summary = "no print() outside repro.cli / repro.bench"
+    summary = "no print() outside repro.cli"
 
-    ALLOWED_MODULES = ("repro.cli", "repro.bench")
+    ALLOWED_MODULES = ("repro.cli",)
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if module.in_package(*self.ALLOWED_MODULES):

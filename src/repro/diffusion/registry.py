@@ -1,6 +1,6 @@
 """Name-based lookup of diffusion models.
 
-The public API, the CLI and the benchmark harness refer to models by short
+The public API, the CLI and the benchmarks refer to models by short
 string identifiers; :func:`get_model` turns those identifiers into configured
 model instances.
 """

@@ -1,8 +1,7 @@
-"""Shared utilities: RNG management, timing, memory tracking and validation."""
+"""Shared utilities: RNG management, memory tracking and validation."""
 
 from repro.utils.rng import RandomState, ensure_rng, spawn_rng
-from repro.utils.timer import Timer, timed
-from repro.utils.memory import MemoryTracker, peak_memory_mb, peak_rss_mb
+from repro.utils.memory import MemoryTracker, peak_rss_mb
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -15,10 +14,7 @@ __all__ = [
     "RandomState",
     "ensure_rng",
     "spawn_rng",
-    "Timer",
-    "timed",
     "MemoryTracker",
-    "peak_memory_mb",
     "peak_rss_mb",
     "check_in_range",
     "check_non_negative",

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import List
 
 from repro.exceptions import LifecycleError
-
-T = TypeVar("T")
 
 _BYTES_PER_MB = 1024.0 * 1024.0
 
@@ -28,29 +26,42 @@ class MemorySnapshot:
     peak_mb: float
 
 
+#: Trackers whose block is open, outermost first.
+_open_trackers: List["MemoryTracker"] = []
+
+
 class MemoryTracker:
     """Context manager measuring peak Python allocations inside its block.
 
     Nested usage is supported: the tracker records the delta between the peak
     during the block and the traced size when the block started, which is the
     quantity reported as "ExecutionMemory" in the paper's stacked bar charts.
+    An inner tracker resets tracemalloc's peak, so it first folds the peak so
+    far into every tracker still open.
     """
 
     def __init__(self) -> None:
         self.snapshot: MemorySnapshot | None = None
         self._was_tracing = False
         self._baseline = 0
+        self._peak = 0
 
     def __enter__(self) -> "MemoryTracker":
         self._was_tracing = tracemalloc.is_tracing()
         if not self._was_tracing:
             tracemalloc.start()
+        _, peak = tracemalloc.get_traced_memory()
+        for tracker in _open_trackers:
+            tracker._peak = max(tracker._peak, peak)
         tracemalloc.reset_peak()
-        self._baseline, _ = tracemalloc.get_traced_memory()
+        self._baseline, self._peak = tracemalloc.get_traced_memory()
+        _open_trackers.append(self)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         current, peak = tracemalloc.get_traced_memory()
+        peak = max(peak, self._peak)
+        _open_trackers.remove(self)
         self.snapshot = MemorySnapshot(
             current_mb=max(0.0, (current - self._baseline) / _BYTES_PER_MB),
             peak_mb=max(0.0, (peak - self._baseline) / _BYTES_PER_MB),
@@ -64,13 +75,6 @@ class MemoryTracker:
         if self.snapshot is None:
             raise LifecycleError("MemoryTracker has not finished measuring yet")
         return self.snapshot.peak_mb
-
-
-def peak_memory_mb(func: Callable[..., T], *args: object, **kwargs: object) -> tuple[T, float]:
-    """Call ``func`` and return ``(result, peak_additional_memory_mb)``."""
-    with MemoryTracker() as tracker:
-        result = func(*args, **kwargs)
-    return result, tracker.peak_mb
 
 
 def peak_rss_mb() -> float | None:

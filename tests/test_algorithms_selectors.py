@@ -26,6 +26,7 @@ from repro.algorithms import (
 )
 from repro.algorithms.base import SeedSelectionResult, top_k_by_score
 from repro.algorithms.pagerank import pagerank_scores
+from repro.api import ScoreEstimator
 from repro.diffusion import MonteCarloEngine
 from repro.exceptions import BudgetError, ConfigurationError
 from repro.graphs import DiGraph, figure1_example_graph, star_graph
@@ -48,6 +49,14 @@ FAST_SELECTORS = [
     ("celf++", lambda: CELFPlusPlusSelector(simulations=20, seed=0)),
     ("path-union", lambda: PathUnionSelector(max_path_length=2, seed=0)),
 ]
+
+
+def _with_unit_interactions(graph: DiGraph) -> DiGraph:
+    """A copy of ``graph`` with the interaction probability 1 on every edge."""
+    copy = graph.copy()
+    for source, target, _ in list(copy.edges()):
+        copy.set_interaction(source, target, 1.0)
+    return copy
 
 
 class TestSelectorContract:
@@ -180,6 +189,26 @@ class TestPaperAlgorithms:
         assert EaSyIMSelector(model="wc").weighting == "wc"
         assert EaSyIMSelector(model="lt").weighting == "lt"
         assert EaSyIMSelector(model="ic").weighting == "ic"
+        # OC activates nodes by LT.
+        assert EaSyIMSelector(model="oc").weighting == "lt"
+        assert OSIMSelector(model="oc").weighting == "lt"
+
+    @pytest.mark.parametrize("incremental", [True, False], ids=["engine", "full"])
+    def test_osim_under_oc_ignores_annotated_interactions(
+        self, annotated_small_graph, incremental
+    ):
+        # OC mixes opinions as OI with phi = 1 on every edge, so OSIM's OC
+        # selection (and its OC score estimate) must not depend on phi.
+        phi_one = _with_unit_interactions(annotated_small_graph)
+        annotated, uniform = (
+            OSIMSelector(model="oc", seed=0, incremental=incremental).select(graph, 6)
+            for graph in (annotated_small_graph, phi_one)
+        )
+        assert annotated.seeds == uniform.seeds
+        assert annotated.scores == uniform.scores
+        assert ScoreEstimator(annotated_small_graph, "oc", objective="opinion").estimate(
+            annotated.seeds
+        ) == ScoreEstimator(phi_one, "oc", objective="opinion").estimate(annotated.seeds)
 
     def test_osim_prefers_positive_opinion_seed(self, figure1):
         result = OSIMSelector(max_path_length=3, seed=0).select(figure1, 1)

@@ -1,4 +1,4 @@
-"""Unit tests for the benchmark harness, reporting helpers and the CLI."""
+"""Unit tests for the benchmark reporting helpers, the experiment registry and the CLI."""
 
 from __future__ import annotations
 
@@ -8,50 +8,13 @@ import pytest
 
 from repro.bench import (
     EXPERIMENTS,
-    ExperimentResult,
     format_series_table,
     format_table,
     get_experiment,
-    measure_selection,
-    run_k_sweep,
 )
 from repro.bench.experiments import experiment_index_rows
 from repro.cli import build_parser, main
-from repro.core.evaluation import SeedSetEvaluation
 from repro.exceptions import ConfigurationError
-
-
-class TestHarness:
-    def test_measure_selection(self, small_ic_graph):
-        run = measure_selection(small_ic_graph, "high-degree", budget=3, dataset="tiny")
-        assert run.algorithm == "high-degree"
-        assert run.dataset == "tiny"
-        assert len(run.seeds) == 3
-        assert run.runtime_seconds >= 0.0
-        assert run.peak_memory_mb >= 0.0
-
-    def test_measure_selection_with_options(self, small_ic_graph):
-        run = measure_selection(
-            small_ic_graph, "easyim", budget=2, max_path_length=1, seed=0
-        )
-        assert run.algorithm == "easyim"
-
-    def test_run_k_sweep(self, small_ic_graph):
-        run, evaluation = run_k_sweep(
-            small_ic_graph,
-            "high-degree",
-            evaluation_model="ic",
-            seed_counts=[0, 2, 4],
-            simulations=50,
-        )
-        assert len(run.seeds) == 4
-        assert evaluation.seed_counts == [0, 2, 4]
-        assert evaluation.values[0] == 0.0
-
-    def test_experiment_result_rows(self):
-        result = ExperimentResult(experiment="demo")
-        result.add_row(dataset="x", value=1.5)
-        assert result.rows == [{"dataset": "x", "value": 1.5}]
 
 
 class TestReporting:
@@ -68,13 +31,16 @@ class TestReporting:
         assert "(no rows)" in format_table([], title="empty")
 
     def test_format_series_table(self):
-        series = [
-            SeedSetEvaluation("alg1", [0, 5], [0.0, 2.0], "spread"),
-            SeedSetEvaluation("alg2", [0, 5], [0.0, 3.0], "spread"),
-        ]
-        text = format_series_table(series, value_label="spread")
-        assert "alg1" in text and "alg2" in text
-        assert "(no series)" in format_series_table([])
+        series = {"alg1": {0: 0.0, 5: 2.0, 10: 4.0}, "alg2": {0: 0.0, 10: 3.0}}
+        lines = format_series_table(series, value_label="spread").splitlines()
+        assert lines[0] == "spread vs #seeds"
+        assert lines[1].split("|")[1:] == [" alg1 ", " alg2"]
+        rows = {line.split("|")[0].strip(): line.split("|") for line in lines[3:]}
+        assert list(rows) == ["0", "5", "10"]
+        assert rows["5"][1].strip() == "2.00"
+        assert rows["5"][2].strip() == ""
+        assert rows["10"][2].strip() == "3.00"
+        assert "(no series)" in format_series_table({})
 
 
 class TestExperimentRegistry:

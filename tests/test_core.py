@@ -1,4 +1,4 @@
-"""Unit tests for selecting and evaluating seeds, and the evaluation helpers."""
+"""Unit tests for selecting and evaluating seeds, and the benchmark quality metrics."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ import pytest
 from repro.algorithms import HighDegreeSelector
 from repro.algorithms.registry import base_model_layer
 from repro.api import MonteCarloEstimator, build_estimator, build_selector, run_experiment
-from repro.core import (
-    compare_seed_sets,
-    evaluate_seed_prefixes,
-    normalized_rmse_curve,
-)
-from repro.core.evaluation import spread_deviation_percent
+from repro.bench.metrics import normalized_rmse_curve, spread_deviation_percent
 from repro.exceptions import BudgetError, ConfigurationError, SpecError
 from repro.graphs import figure1_example_graph
 from repro.specs import (
@@ -143,48 +138,26 @@ class TestSelectAndEvaluate:
         assert len(result) == 3
 
 
-class TestEvaluationHelpers:
-    def test_evaluate_seed_prefixes_monotone_counts(self, small_ic_graph):
+class TestMonteCarloSweep:
+    def test_sweep_prefix_counts(self, small_ic_graph):
         seeds = HighDegreeSelector().select(small_ic_graph, 6).seeds
-        evaluation = evaluate_seed_prefixes(
-            small_ic_graph, "ic", seeds, [0, 2, 4, 6], simulations=100, seed=0
-        )
-        assert evaluation.seed_counts == [0, 2, 4, 6]
-        assert evaluation.values[0] == 0.0
-        assert len(evaluation.values) == 4
-        assert evaluation.as_series()[2] == evaluation.values[1]
+        estimator = MonteCarloEstimator(small_ic_graph, "ic", simulations=100, seed=0)
+        sweep = estimator.sweep(seeds, [0, 2, 4, 6])
+        assert list(sweep) == [0, 2, 4, 6]
+        assert sweep[0] == 0.0
+        assert sweep[2] == MonteCarloEstimator(
+            small_ic_graph, "ic", simulations=100, seed=0
+        ).estimate(seeds[:2])
 
-    def test_evaluate_seed_prefixes_equals_estimator_sweep(self, annotated_small_graph):
-        seeds = HighDegreeSelector().select(annotated_small_graph, 5).seeds
-        counts = [0, 1, 3, 5]
-        evaluation = evaluate_seed_prefixes(
-            annotated_small_graph, "oi-ic", seeds, counts,
-            objective="effective-opinion", simulations=60, penalty=0.5, seed=4,
-        )
-        sweep = MonteCarloEstimator(
-            annotated_small_graph, "oi-ic", objective="effective-opinion",
-            simulations=60, penalty=0.5, seed=4,
-        ).sweep(seeds, counts)
-        assert evaluation.values == [sweep[k] for k in counts]
-
-    def test_evaluate_seed_prefixes_k_out_of_range(self, small_ic_graph):
+    def test_sweep_k_out_of_range(self, small_ic_graph):
         seeds = HighDegreeSelector().select(small_ic_graph, 3).seeds
-        with pytest.raises(ConfigurationError):
-            evaluate_seed_prefixes(small_ic_graph, "ic", seeds, [5], simulations=10)
+        estimator = MonteCarloEstimator(small_ic_graph, "ic", simulations=10)
+        for k in (5, -1):
+            with pytest.raises(ConfigurationError):
+                estimator.sweep(seeds, [k])
 
-    def test_compare_seed_sets_labels(self, annotated_small_graph):
-        high_degree = HighDegreeSelector().select(annotated_small_graph, 4).seeds
-        reversed_seeds = list(reversed(high_degree))
-        evaluations = compare_seed_sets(
-            annotated_small_graph,
-            "oi-ic",
-            {"forward": high_degree, "backward": reversed_seeds},
-            seed_counts=[0, 2, 4],
-            simulations=50,
-        )
-        assert {e.label for e in evaluations} == {"forward", "backward"}
-        assert all(e.objective == "effective-opinion" for e in evaluations)
 
+class TestBenchMetrics:
     def test_normalized_rmse_curve(self):
         results = normalized_rmse_curve(
             {"perfect": [1.0, 2.0], "biased": [2.0, 3.0]}, [1.0, 2.0]

@@ -262,7 +262,7 @@ class TestCapabilities:
     def test_base_model_layer(self):
         assert base_model_layer("oi-lt") == "lt"
         assert base_model_layer("oi-wc") == "wc"
-        assert base_model_layer("oc") == "ic"
+        assert base_model_layer("oc") == "lt"
         assert base_model_layer("ic") == "ic"
         # Segment match, not suffix: the LT-equivalent live-edge sampler
         # must score under LT weights, not IC.
@@ -609,16 +609,25 @@ class TestPublicExports:
             assert name in repro.__all__, name
 
     def test_no_alias_shims_and_one_evaluation_surface(self):
+        import pkgutil
+
         import repro.bench
         import repro.bench.experiments
-        import repro.core
+        import repro.utils
 
         # No lazily resolved deprecated names: every export is a real one.
         for module in (repro, repro.bench, repro.bench.experiments):
             assert not hasattr(module, "__getattr__"), module.__name__
-        assert sorted(repro.core.__all__) == [
-            "SeedSetEvaluation", "compare_seed_sets", "evaluate_seed_prefixes",
-            "normalized_rmse_curve",
+        # Curves come from SpreadEstimator.sweep; no second measurement layer.
+        assert "core" not in {module.name for module in pkgutil.iter_modules(repro.__path__)}
+        assert sorted(repro.bench.__all__) == [
+            "EXPERIMENTS", "PaperExperiment", "format_series_table", "format_table",
+            "get_experiment", "normalized_rmse_curve", "spread_deviation_percent",
+        ]
+        assert sorted(repro.utils.__all__) == [
+            "MemoryTracker", "RandomState", "check_in_range", "check_non_negative",
+            "check_positive", "check_probability", "check_type", "ensure_rng",
+            "peak_rss_mb", "spawn_rng",
         ]
         flags = {key for row in algorithm_capabilities().values() for key in row}
         assert flags == {

@@ -23,8 +23,7 @@ from repro.algorithms import (
     RandomSelector,
     TIMPlusSelector,
 )
-from repro.api import build_estimator, build_selector
-from repro.core import compare_seed_sets
+from repro.api import MonteCarloEstimator, build_estimator, build_selector
 from repro.datasets import (
     generate_customer_records,
     generate_tweet_corpus,
@@ -188,11 +187,14 @@ class TestChurnPipeline:
         budget = 4
         oi_seeds = OSIMSelector(max_path_length=3, seed=0).select(graph, budget).seeds
         ic_seeds = EaSyIMSelector(max_path_length=3, seed=0).select(graph, budget).seeds
-        evaluations = compare_seed_sets(
-            graph, "oi-ic", {"OI": oi_seeds, "IC": ic_seeds},
-            seed_counts=[0, 2, budget], simulations=150,
-        )
-        assert {e.label for e in evaluations} == {"OI", "IC"}
+        curves = {
+            label: MonteCarloEstimator(
+                graph, "oi-ic", objective="effective-opinion", simulations=150,
+            ).sweep(seeds, [0, 2, budget])
+            for label, seeds in {"OI": oi_seeds, "IC": ic_seeds}.items()
+        }
+        assert list(curves) == ["OI", "IC"]
+        assert all(list(curve) == [0, 2, budget] for curve in curves.values())
 
 
 class TestPersistenceRoundTrip:
