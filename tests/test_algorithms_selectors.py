@@ -26,8 +26,10 @@ from repro.algorithms import (
 )
 from repro.algorithms.base import SeedSelectionResult, top_k_by_score
 from repro.algorithms.pagerank import pagerank_scores
+from repro.algorithms.registry import base_model_layer
 from repro.api import ScoreEstimator
 from repro.diffusion import MonteCarloEngine
+from repro.diffusion.registry import available_models
 from repro.exceptions import BudgetError, ConfigurationError
 from repro.graphs import DiGraph, figure1_example_graph, star_graph
 
@@ -209,6 +211,39 @@ class TestPaperAlgorithms:
         assert ScoreEstimator(annotated_small_graph, "oc", objective="opinion").estimate(
             annotated.seeds
         ) == ScoreEstimator(phi_one, "oc", objective="opinion").estimate(annotated.seeds)
+
+    @pytest.mark.parametrize("model", ["oi-ic", "oi-lt"])
+    @pytest.mark.parametrize("incremental", [True, False], ids=["engine", "full"])
+    def test_osim_under_oi_uses_annotated_interactions(
+        self, annotated_small_graph, model, incremental
+    ):
+        # Only OC forces phi = 1; the OI models keep scoring each edge's
+        # annotated interaction probability.
+        phi_one = _with_unit_interactions(annotated_small_graph)
+        annotated, uniform = (
+            OSIMSelector(model=model, seed=0, incremental=incremental).select(graph, 6)
+            for graph in (annotated_small_graph, phi_one)
+        )
+        assert annotated.scores != uniform.scores
+
+    @pytest.mark.parametrize("max_path_length", [1, 2, 3])
+    def test_osim_under_oc_ignores_interactions_at_every_path_length(
+        self, annotated_small_graph, max_path_length
+    ):
+        phi_one = _with_unit_interactions(annotated_small_graph)
+        annotated, uniform = (
+            OSIMSelector(model="oc", max_path_length=max_path_length, seed=0).select(graph, 4)
+            for graph in (annotated_small_graph, phi_one)
+        )
+        assert annotated.seeds == uniform.seeds
+        assert annotated.scores == uniform.scores
+
+    @pytest.mark.parametrize("selector_class", [EaSyIMSelector, OSIMSelector])
+    def test_default_weighting_is_base_model_layer(self, selector_class):
+        # base_model_layer is the one model -> edge-weight mapping; neither
+        # selector keeps a private copy.
+        for model in available_models():
+            assert selector_class(model=model).weighting == base_model_layer(model), model
 
     def test_osim_prefers_positive_opinion_seed(self, figure1):
         result = OSIMSelector(max_path_length=3, seed=0).select(figure1, 1)

@@ -12,9 +12,12 @@ from repro.bench import (
     format_table,
     get_experiment,
 )
+from repro.api import MonteCarloEstimator, build_selector
 from repro.bench.experiments import experiment_index_rows
 from repro.cli import build_parser, main
 from repro.exceptions import ConfigurationError
+from repro.specs import AlgorithmSpec
+from repro.utils import MemoryTracker
 
 
 class TestReporting:
@@ -41,6 +44,40 @@ class TestReporting:
         assert rows["5"][2].strip() == ""
         assert rows["10"][2].strip() == "3.00"
         assert "(no series)" in format_series_table({})
+
+    def test_format_series_table_title_and_row_order(self):
+        series = {"z-last": {10: 1234.5, 0: 0.0}, "a-first": {5: 0.5}}
+        lines = format_series_table(series, value_label="spread", title="Fig. X").splitlines()
+        assert lines[0] == "Fig. X"
+        # Columns keep the mapping's order; rows run over sorted k.
+        assert [cell.strip() for cell in lines[1].split("|")] == ["k", "z-last", "a-first"]
+        rows = [[cell.strip() for cell in line.split("|")] for line in lines[3:]]
+        assert rows == [["0", "0", ""], ["5", "", "0.5000"], ["10", "1,234.5", ""]]
+
+
+class TestSelectionMeasurement:
+    """How the paper benchmarks measure a selection: no harness in between."""
+
+    def test_time_and_memory_around_select(self, small_ic_graph):
+        selector = build_selector(
+            AlgorithmSpec(name="easyim", options={"max_path_length": 1, "seed": 0})
+        )
+        with MemoryTracker() as tracker:
+            result = selector.select(small_ic_graph, 2)
+        assert result.algorithm == "easyim"
+        assert len(result.seeds) == 2
+        assert result.runtime_seconds > 0.0
+        assert tracker.peak_mb >= 0.0
+
+    def test_curve_from_selected_seeds(self, small_ic_graph):
+        result = build_selector(AlgorithmSpec(name="high-degree")).select(small_ic_graph, 4)
+        curve = MonteCarloEstimator(small_ic_graph, "ic", simulations=50).sweep(
+            result.seeds, [0, 2, 4]
+        )
+        assert list(curve) == [0, 2, 4]
+        assert curve[0] == 0.0
+        assert all(value > 0.0 for k, value in curve.items() if k)
+        assert "high-degree" in format_series_table({result.algorithm: curve})
 
 
 class TestExperimentRegistry:

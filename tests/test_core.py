@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms import HighDegreeSelector
@@ -156,6 +157,48 @@ class TestMonteCarloSweep:
             with pytest.raises(ConfigurationError):
                 estimator.sweep(seeds, [k])
 
+    def test_sweep_full_prefix_equals_estimate(self, small_ic_graph):
+        seeds = HighDegreeSelector().select(small_ic_graph, 4).seeds
+        sweep = MonteCarloEstimator(small_ic_graph, "ic", simulations=50, seed=3).sweep(
+            seeds, [len(seeds)]
+        )
+        fresh = MonteCarloEstimator(small_ic_graph, "ic", simulations=50, seed=3)
+        assert sweep == {len(seeds): fresh.estimate(seeds)}
+
+    def test_sweep_opinion_objective_matches_prefix_estimates(self, annotated_small_graph):
+        # The benchmarks' opinion curves: each k > 0 is the next estimate,
+        # on the same engine stream, of the first k seeds under the
+        # estimator's objective and penalty.
+        seeds = HighDegreeSelector().select(annotated_small_graph, 5).seeds
+
+        def estimator() -> MonteCarloEstimator:
+            return MonteCarloEstimator(
+                annotated_small_graph, "oi-ic", objective="effective-opinion",
+                simulations=60, penalty=0.5, seed=4,
+            )
+
+        sweep = estimator().sweep(seeds, [0, 1, 3, 5])
+        prefixes = estimator()
+        assert sweep == {0: 0.0, **{k: prefixes.estimate(seeds[:k]) for k in (1, 3, 5)}}
+
+    def test_fresh_estimators_give_identical_curves(self, small_ic_graph):
+        seeds = HighDegreeSelector().select(small_ic_graph, 5).seeds
+        curves = [
+            MonteCarloEstimator(small_ic_graph, "ic", simulations=40, seed=9).sweep(
+                seeds, [0, 1, 3, 5]
+            )
+            for _ in range(2)
+        ]
+        assert curves[0] == curves[1]
+
+    def test_sweep_keeps_request_order_and_int_keys(self, small_ic_graph):
+        seeds = HighDegreeSelector().select(small_ic_graph, 4).seeds
+        estimator = MonteCarloEstimator(small_ic_graph, "ic", simulations=20, seed=0)
+        sweep = estimator.sweep(seeds, np.array([4, 0, 2]))
+        assert list(sweep) == [4, 0, 2]
+        assert all(type(k) is int for k in sweep)
+        assert estimator.sweep(seeds, []) == {}
+
 
 class TestBenchMetrics:
     def test_normalized_rmse_curve(self):
@@ -173,3 +216,24 @@ class TestBenchMetrics:
         assert spread_deviation_percent(95.0, 100.0) == pytest.approx(5.0)
         assert spread_deviation_percent(0.0, 0.0) == 0.0
         assert spread_deviation_percent(1.0, 0.0) == float("inf")
+
+    def test_normalized_rmse_fraction_and_percent_agree(self):
+        predicted = {"a": [1.5, 2.5, 2.0]}
+        truth = [1.0, 2.0, 3.0]
+        percent = normalized_rmse_curve(predicted, truth)["a"]
+        fraction = normalized_rmse_curve(predicted, truth, as_percent=False)["a"]
+        assert percent == pytest.approx(fraction * 100.0)
+        assert fraction == pytest.approx(np.sqrt((0.25 + 0.25 + 1.0) / 3) / 3.0)
+
+    def test_normalized_rmse_scales_by_largest_magnitude(self):
+        # Opinion spreads can be negative: the scale is max |truth|, and an
+        # all-zero truth falls back to a scale of 1.
+        signed = normalized_rmse_curve({"a": [-2.0, 2.0]}, [-4.0, 2.0], as_percent=False)
+        assert signed["a"] == pytest.approx(np.sqrt(2.0) / 4.0)
+        zero = normalized_rmse_curve({"a": [3.0, 4.0]}, [0.0, 0.0], as_percent=False)
+        assert zero["a"] == pytest.approx(np.sqrt(12.5))
+
+    def test_spread_deviation_percent_is_unsigned(self):
+        assert spread_deviation_percent(105.0, 100.0) == pytest.approx(5.0)
+        assert spread_deviation_percent(-9.0, -10.0) == pytest.approx(10.0)
+        assert spread_deviation_percent(10.0, -10.0) == pytest.approx(200.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,71 @@ class TestMemory:
                 _ = list(range(10000))
         assert inner.peak_mb < 30.0
         assert outer.peak_mb >= 30.0
+
+    def test_inner_allocation_counts_toward_outer(self):
+        with MemoryTracker() as outer:
+            with MemoryTracker() as inner:
+                data = np.ones(2_000_000, dtype=np.float64)  # ~16 MB
+                del data
+        assert inner.peak_mb >= 15.0
+        assert outer.peak_mb >= inner.peak_mb
+
+    def test_three_levels_keep_every_peak(self):
+        with MemoryTracker() as outer:
+            data = np.ones(4_000_000, dtype=np.float64)  # ~32 MB
+            del data
+            with MemoryTracker() as middle:
+                data = np.ones(2_000_000, dtype=np.float64)  # ~16 MB
+                del data
+                with MemoryTracker() as inner:
+                    _ = list(range(10000))
+        assert inner.peak_mb < 10.0
+        assert 15.0 <= middle.peak_mb < 30.0
+        assert outer.peak_mb >= 30.0
+
+    def test_sequential_trackers_are_independent(self):
+        with MemoryTracker() as first:
+            data = np.ones(2_000_000, dtype=np.float64)
+            del data
+        with MemoryTracker() as second:
+            _ = list(range(10000))
+        assert first.peak_mb >= 15.0
+        assert second.peak_mb < 10.0
+
+    def test_freed_memory_leaves_current_near_zero(self):
+        with MemoryTracker() as tracker:
+            data = np.ones(2_000_000, dtype=np.float64)
+            del data
+        assert tracker.snapshot is not None
+        assert tracker.snapshot.current_mb < 1.0
+        assert tracker.peak_mb >= 15.0
+
+    def test_tracker_stops_only_the_tracing_it_started(self):
+        assert not tracemalloc.is_tracing()
+        with MemoryTracker():
+            assert tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            with MemoryTracker():
+                pass
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+
+    def test_exception_in_block_still_records_and_stops(self):
+        tracker = MemoryTracker()
+        with pytest.raises(ValueError, match="boom"):
+            with tracker:
+                data = np.ones(2_000_000, dtype=np.float64)
+                del data
+                raise ValueError("boom")
+        assert tracker.peak_mb >= 15.0
+        assert not tracemalloc.is_tracing()
+        # The failed block is no longer open: a later tracker nests nowhere.
+        with MemoryTracker() as later:
+            _ = list(range(10000))
+        assert later.peak_mb < 10.0
 
 
 class TestValidation:
