@@ -888,9 +888,10 @@ def _serve_loop(
                 break
             else:
                 raise ConfigurationError(f"unknown op {op!r}")
-        except (ReproError, KeyError, TypeError, ValueError, OverflowError) as error:
+        except (ReproError, KeyError, TypeError, ValueError, OverflowError, OSError) as error:
             # A malformed request must never kill the loop — e.g. a JSON
-            # 1e400 becomes float('inf') and int() then raises OverflowError.
+            # 1e400 becomes float('inf') and int() then raises OverflowError,
+            # and a reload of a directory raises IsADirectoryError.
             response = {"ok": False, "error": str(error) or repr(error)}
         print(json.dumps(response), flush=True)
 

@@ -180,14 +180,12 @@ class MonteCarloEngine:
         """Estimate all objectives for ``seeds`` (labels or compiled indices)."""
         indices = self._normalise_seeds(seeds)
         key = frozenset(indices)
-        registry = default_registry()
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
-            if registry is not None:
-                registry.counter(
-                    "repro_mc_cache_hits_total", "Monte Carlo estimate cache hits."
-                ).inc()
+            default_registry().counter(
+                "repro_mc_cache_hits_total", "Monte Carlo estimate cache hits."
+            ).inc()
             return cached
 
         with span(
@@ -199,10 +197,9 @@ class MonteCarloEngine:
                 results = self._run_serial(indices)
         spreads, opinion_spreads, effective_spreads = results
         self.total_simulations_run += self.simulations
-        if registry is not None:
-            registry.counter(
-                "repro_mc_simulations_total", "Monte Carlo cascades simulated."
-            ).inc(self.simulations)
+        default_registry().counter(
+            "repro_mc_simulations_total", "Monte Carlo cascades simulated."
+        ).inc(self.simulations)
 
         estimate = SpreadEstimate(
             seeds=tuple(seeds),

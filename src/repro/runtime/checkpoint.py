@@ -70,12 +70,10 @@ __all__ = [
 
 
 def _count_checkpoint_write() -> None:
-    registry = default_registry()
-    if registry is not None:
-        registry.counter(
-            "repro_runtime_checkpoints_written_total",
-            "Checkpoint manifests persisted by build/run checkpointing.",
-        ).inc()
+    default_registry().counter(
+        "repro_runtime_checkpoints_written_total",
+        "Checkpoint manifests persisted by build/run checkpointing.",
+    ).inc()
 
 
 def _json_default(value: object) -> object:

@@ -302,23 +302,13 @@ class SupervisedPool:
 
     # ------------------------------------------------------------ telemetry
 
-    def _metric(self, kind: str, name: str, help_text: str) -> Optional[Any]:
-        registry = default_registry()
-        if registry is None:
-            return None
-        return getattr(registry, kind)(name, help_text)
-
     def _set_workers_alive(self, value: int) -> None:
-        gauge = self._metric(
-            "gauge", "repro_runtime_workers_alive", "Live supervised workers."
-        )
-        if gauge is not None:
-            gauge.set(value)
+        default_registry().gauge(
+            "repro_runtime_workers_alive", "Live supervised workers."
+        ).set(value)
 
     def _count(self, name: str, help_text: str, amount: int = 1) -> None:
-        counter = self._metric("counter", name, help_text)
-        if counter is not None:
-            counter.inc(amount)
+        default_registry().counter(name, help_text).inc(amount)
 
     # ------------------------------------------------------------- spawning
 

@@ -520,13 +520,10 @@ class ScoreEngine:
         """Update :attr:`stats` and mirror the increment to global metrics.
 
         ``stats`` stays the authoritative per-engine record; the registry
-        mirror only exists when telemetry is enabled so the hot path pays a
-        single attribute read otherwise.
+        series are the process-wide view of the same increments.
         """
         self.stats[key] += amount
         registry = default_registry()
-        if registry is None:
-            return
         if key.endswith("_rebuilds"):
             registry.counter(
                 "repro_score_rebuilds_total",

@@ -32,7 +32,7 @@ from __future__ import annotations
 import pathlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -124,20 +124,6 @@ class InfluenceIndex:
         self.numpy_version = numpy_version or np.__version__
         self._lock = threading.RLock()
         self._selection_cache: Dict[int, IndexSelection] = {}
-        # Per-registry memo for default-registry counters: the registry can
-        # be swapped at runtime (``set_default_registry``), so entries are
-        # keyed on its identity and refreshed when it changes.  Only touched
-        # under ``self._lock``.
-        self._counter_memo: Dict[str, Tuple[object, object]] = {}
-
-    def _counter(self, registry, name: str, help_text: str):
-        """Resolve ``registry.counter(name)`` once per registry instance."""
-        memo = self._counter_memo.get(name)
-        if memo is not None and memo[0] is registry:
-            return memo[1]
-        counter = registry.counter(name, help_text)
-        self._counter_memo[name] = (registry, counter)
-        return counter
 
     # ------------------------------------------------------------ construction
 
@@ -326,25 +312,20 @@ class InfluenceIndex:
             rng = ensure_rng(self.engine_seed)
             sampler.skip_tokens(rng, existing)
             registry = default_registry()
-            sets_total = blocks_total = None
-            if registry is not None:
-                sets_total = self._counter(
-                    registry,
-                    "repro_index_rr_sets_total",
-                    "RR sets appended to influence indexes.",
-                )
-                blocks_total = self._counter(
-                    registry,
-                    "repro_index_grow_blocks_total",
-                    "Sampler blocks executed by index build/grow loops.",
-                )
+            sets_total = registry.counter(
+                "repro_index_rr_sets_total",
+                "RR sets appended to influence indexes.",
+            )
+            blocks_total = registry.counter(
+                "repro_index_grow_blocks_total",
+                "Sampler blocks executed by index build/grow loops.",
+            )
 
             def append_block(members: np.ndarray, indptr: np.ndarray) -> None:
                 block = int(indptr.size - 1)
                 self.collection.append(members, indptr)
-                if sets_total is not None and blocks_total is not None:
-                    sets_total.inc(block)
-                    blocks_total.inc()
+                sets_total.inc(block)
+                blocks_total.inc()
                 if checkpoint is not None:
                     checkpoint.maybe_save(self, theta)
 
@@ -477,14 +458,11 @@ class InfluenceIndex:
             raise BudgetError(budget, self.graph.number_of_nodes)
         with self._lock:
             cached = self._selection_cache.get(budget)
-            registry = default_registry()
             if cached is not None:
-                if registry is not None:
-                    self._counter(
-                        registry,
-                        "repro_index_selection_cache_hits_total",
-                        "select() answers served from the per-budget cache.",
-                    ).inc()
+                default_registry().counter(
+                    "repro_index_selection_cache_hits_total",
+                    "select() answers served from the per-budget cache.",
+                ).inc()
                 return cached
             if deadline is not None:
                 deadline.check("select")
@@ -532,13 +510,10 @@ class InfluenceIndex:
         concurrent theta-growth never interleaves with the query.
         """
         with self._lock:
-            registry = default_registry()
-            if registry is not None:
-                self._counter(
-                    registry,
-                    "repro_index_evaluations_total",
-                    "Seed sets answered by the RIS spread oracle.",
-                ).inc()
+            default_registry().counter(
+                "repro_index_evaluations_total",
+                "Seed sets answered by the RIS spread oracle.",
+            ).inc()
             with span("index_evaluate", model=self.model):
                 self.collection.inverted_index()
                 return self.collection.estimated_spread(indices)

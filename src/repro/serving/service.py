@@ -78,24 +78,19 @@ from repro.serving import faults
 from repro.serving.artifact import quarantine_artifact
 from repro.serving.index import DEFAULT_BLOCK_SIZE, IndexSelection, InfluenceIndex
 from repro.serving.resilience import CircuitBreaker, Deadline, RetryPolicy
-from repro.telemetry.registry import MetricsRegistry, default_registry
+from repro.telemetry.registry import MetricsRegistry
 
 DEFAULT_THETA = 20_000
 
 ServiceKey = Tuple[str, str]
 
-#: The legacy ``stats()`` counter keys, now backed by labeled children of
-#: ``repro_serving_events_total`` on the service's registry.  The key set
-#: is part of the public ``stats()`` contract — never remove or rename.
-_LEGACY_STAT_KEYS = (
+#: Lifecycle events that are not requests: labeled children of
+#: ``repro_serving_events_total``, reported by ``stats()`` under the same
+#: names.
+_EVENT_KEYS = (
     "index_builds",
     "index_hits",
     "index_evictions",
-    "evaluate_requests",
-    "evaluate_batches",
-    "select_requests",
-    "requests_shed",
-    "degraded_answers",
     "deadline_misses",
     "io_retries",
     "artifacts_quarantined",
@@ -103,9 +98,9 @@ _LEGACY_STAT_KEYS = (
     "hot_swaps",
 )
 
-#: The full (op, outcome) space for the per-request series.  Both axes are
-#: closed sets, which lets the service resolve every labeled child once at
-#: construction instead of paying a ``labels()`` lookup per request.
+#: The full (op, outcome) space for ``repro_serving_requests_total``.  Both
+#: axes are closed sets, which lets the service resolve every labeled child
+#: once at construction instead of paying a ``labels()`` lookup per request.
 _REQUEST_OPS = ("evaluate", "select", "sweep", "request")
 _REQUEST_OUTCOMES = ("ok", "degraded", "error", "shed")
 
@@ -214,14 +209,11 @@ class InfluenceService:
         request-latency histograms (tests drive it with virtual time).
     registry:
         The :class:`~repro.telemetry.registry.MetricsRegistry` this
-        service records into; ``None`` (the default) creates a private
-        one, so two services never share counters.  The legacy
-        ``stats()`` keys are views over ``repro_serving_events_total``
-        on this registry and are always maintained; the richer
-        per-request series (latency histograms, labeled outcome
-        counters, gauges) additionally follow the process-global
-        telemetry switch — ``set_default_registry(None)`` turns them
-        off at one attribute read per request.
+        service records every serving series into; ``None`` (the default)
+        creates a private one, so two services never share counters.
+        The counters in ``stats()`` are views over this registry's
+        ``repro_serving_requests_total`` and
+        ``repro_serving_events_total`` series.
     """
 
     def __init__(
@@ -283,15 +275,14 @@ class InfluenceService:
             OrderedDict()
         )
         # Metrics live on the registry; handles are resolved once here so
-        # hot paths touch no dicts.  The legacy counters stay a plain
-        # labeled counter family, reconstructed as a dict by stats().
+        # hot paths do no label lookups.  stats() reads them back.
         self.telemetry = registry if registry is not None else MetricsRegistry()
         events = self.telemetry.counter(
             "repro_serving_events_total",
-            "Service lifecycle events, keyed like the legacy stats() dict.",
+            "Service lifecycle events, keyed like their stats() entries.",
             ("event",),
         )
-        self._events = {key: events.labels(event=key) for key in _LEGACY_STAT_KEYS}
+        self._events = {key: events.labels(event=key) for key in _EVENT_KEYS}
         self._requests_total = self.telemetry.counter(
             "repro_serving_requests_total",
             "Query requests by operation and outcome.",
@@ -330,7 +321,7 @@ class InfluenceService:
     # --------------------------------------------------------------- metrics
 
     def _bump(self, event: str) -> None:
-        """Increment one legacy stats() counter (always on)."""
+        """Increment one lifecycle event counter."""
         self._events[event].inc()
 
     def _observe_request(
@@ -340,9 +331,7 @@ class InfluenceService:
         started: float,
         deadline: Optional[Deadline],
     ) -> None:
-        """Record the rich per-request series; off ⇒ one attribute read."""
-        if default_registry() is None:
-            return
+        """Record one finished request's outcome, latency and slack."""
         self._request_children[op, outcome].inc()
         self._latency_children[op].observe(max(self._clock() - started, 0.0))
         if deadline is not None and outcome != "error":
@@ -414,21 +403,17 @@ class InfluenceService:
         """Admission control: count the request in or shed it."""
         with self._lock:
             if self.max_queue is not None and self._inflight >= self.max_queue:
-                self._bump("requests_shed")
-                if default_registry() is not None:
-                    self._request_children[op, "shed"].inc()
+                self._request_children[op, "shed"].inc()
                 raise ServiceOverloadedError(self._inflight, self.max_queue)
             self._inflight += 1
             inflight = self._inflight
-        if default_registry() is not None:
-            self._inflight_gauge.set(inflight)
+        self._inflight_gauge.set(inflight)
 
     def _release(self) -> None:
         with self._lock:
             self._inflight -= 1
             inflight = self._inflight
-        if default_registry() is not None:
-            self._inflight_gauge.set(inflight)
+        self._inflight_gauge.set(inflight)
 
     def _retry_io(self, fn, deadline: Optional[Deadline]):
         """Run an artifact-IO callable under the service's retry policy."""
@@ -448,7 +433,6 @@ class InfluenceService:
             self._bump("deadline_misses")
         if not degraded_ok:
             return None
-        self._bump("degraded_answers")
         return _degrade_reason(error)
 
     # ---------------------------------------------------------- artifact paths
@@ -749,7 +733,6 @@ class InfluenceService:
         started = self._clock()
         outcome = "error"
         try:
-            self._bump("select_requests")
             try:
                 index = self._get_index(
                     key, compiled, model, theta=theta, deadline=deadline
@@ -759,8 +742,9 @@ class InfluenceService:
                 reason = self._note_failure(error, degraded_ok)
                 if reason is None:
                     raise
+                degraded = self._degraded_selection(compiled, key, budget, reason)
                 outcome = "degraded"
-                return self._degraded_selection(compiled, key, budget, reason)
+                return degraded
             self._remember_selection(key, selection)
             outcome = "ok"
             return selection
@@ -843,10 +827,8 @@ class InfluenceService:
                 indices = tuple(index._indices_for(seeds))
                 if deadline is not None:
                     deadline.check("evaluate")
-                self._bump("evaluate_requests")
                 faults.trigger(faults.SITE_EVALUATE, context=f"seeds={len(indices)}")
                 result = index._estimate_indices(indices)
-                self._bump("evaluate_batches")
             except DEGRADABLE_ERRORS as error:
                 reason = self._note_failure(error, degraded_ok)
                 if reason is None:
@@ -858,8 +840,9 @@ class InfluenceService:
                         f"seed {bad_seed.args[0]!r} is not a node of the "
                         f"indexed graph"
                     )
+                degraded = self._degraded_evaluate(compiled, key, indices, reason)
                 outcome = "degraded"
-                return self._degraded_evaluate(compiled, key, indices, reason)
+                return degraded
             self._remember_spread(key, indices, result)
             outcome = "ok"
             return EvaluateOutcome(result)
@@ -872,16 +855,24 @@ class InfluenceService:
     def stats(self) -> Dict[str, object]:
         """A consistent snapshot of service counters and resident indexes.
 
-        The whole snapshot — legacy counters, resident-index rows,
-        breaker states and trips, in-flight depth — is taken inside one
-        critical section, so the numbers are mutually consistent even
-        under concurrent traffic; every nested structure is freshly
-        built, so callers can mutate the result without touching live
-        service state.  The legacy keys are views over the service's
-        :class:`~repro.telemetry.registry.MetricsRegistry`
-        (``repro_serving_events_total``); breaker and queue-depth gauges
-        are re-sampled here, which is why metrics exporters call
-        ``stats()`` before each scrape.
+        The whole snapshot — counters, resident-index rows, breaker
+        states and trips, in-flight depth — is taken inside one critical
+        section, so the numbers are mutually consistent even under
+        concurrent traffic; every nested structure is freshly built, so
+        callers can mutate the result without touching live service
+        state.  Breaker and queue-depth gauges are re-sampled here, which
+        is why metrics exporters call ``stats()`` before each scrape.
+
+        The counters are views over the service's
+        :class:`~repro.telemetry.registry.MetricsRegistry`.  The lifecycle
+        keys read ``repro_serving_events_total``; the request keys are sums
+        of ``repro_serving_requests_total{op,outcome}`` children:
+
+        * ``select_requests`` / ``evaluate_requests`` — admitted requests
+          of that op (outcomes ``ok`` + ``degraded`` + ``error``);
+        * ``evaluate_batches`` — evaluates answered from an index (``ok``);
+        * ``requests_shed`` / ``degraded_answers`` — ``shed`` /
+          ``degraded`` outcomes summed over every op.
         """
         with self._lock:
             resident = [
@@ -895,7 +886,11 @@ class InfluenceService:
                 for key, index in self._indexes.items()
             ]
             snapshot: Dict[str, object] = {
-                key: int(self._events[key].value) for key in _LEGACY_STAT_KEYS
+                key: int(self._events[key].value) for key in _EVENT_KEYS
+            }
+            requests = {
+                pair: int(child.value)
+                for pair, child in self._request_children.items()
             }
             # Breaker state/trips are read while the service lock pins the
             # breaker set (service -> breaker follows the lock hierarchy);
@@ -904,6 +899,14 @@ class InfluenceService:
             states = [breaker.state for breaker in self._breakers.values()]
             trips = sum(breaker.trips for breaker in self._breakers.values())
             inflight = self._inflight
+        admitted = ("ok", "degraded", "error")
+        for op in ("select", "evaluate"):
+            snapshot[f"{op}_requests"] = sum(requests[op, o] for o in admitted)
+        snapshot["evaluate_batches"] = requests["evaluate", "ok"]
+        snapshot["requests_shed"] = sum(requests[op, "shed"] for op in _REQUEST_OPS)
+        snapshot["degraded_answers"] = sum(
+            requests[op, "degraded"] for op in _REQUEST_OPS
+        )
         snapshot["resident_indexes"] = resident
         snapshot["capacity"] = self.capacity
         snapshot["inflight"] = inflight
@@ -915,13 +918,12 @@ class InfluenceService:
             "trips": trips,
         }
         snapshot["breakers"] = counts
-        if default_registry() is not None:
-            closed = counts["total"] - counts["open"] - counts["half_open"]
-            self._breaker_gauge.labels(state="closed").set(closed)
-            self._breaker_gauge.labels(state="open").set(counts["open"])
-            self._breaker_gauge.labels(state="half_open").set(counts["half_open"])
-            self._breaker_trips_gauge.set(trips)
-            self._inflight_gauge.set(inflight)
+        closed = counts["total"] - counts["open"] - counts["half_open"]
+        self._breaker_gauge.labels(state="closed").set(closed)
+        self._breaker_gauge.labels(state="open").set(counts["open"])
+        self._breaker_gauge.labels(state="half_open").set(counts["half_open"])
+        self._breaker_trips_gauge.set(trips)
+        self._inflight_gauge.set(inflight)
         return snapshot
 
     def __len__(self) -> int:

@@ -327,14 +327,12 @@ class BatchRRSampler:
         if block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
         registry = default_registry()
-        sets_total = blocks_total = None
-        if registry is not None:
-            sets_total = registry.counter(
-                "repro_sketch_rr_sets_total", "RR sets drawn by sample_into."
-            )
-            blocks_total = registry.counter(
-                "repro_sketch_rr_blocks_total", "Sampling blocks run by sample_into."
-            )
+        sets_total = registry.counter(
+            "repro_sketch_rr_sets_total", "RR sets drawn by sample_into."
+        )
+        blocks_total = registry.counter(
+            "repro_sketch_rr_blocks_total", "Sampling blocks run by sample_into."
+        )
         with span(
             "rr_sample",
             model=self.model,
@@ -345,9 +343,8 @@ class BatchRRSampler:
                 block = min(block_size, target - collection.num_sets)
                 members, indptr, _ = self.sample(rng, block)
                 collection.append(members, indptr)
-                if sets_total is not None:
-                    sets_total.inc(block)
-                    blocks_total.inc()
+                sets_total.inc(block)
+                blocks_total.inc()
 
     def sample_roots(
         self, rng: np.random.Generator, roots: np.ndarray

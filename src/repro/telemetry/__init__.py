@@ -15,7 +15,7 @@ Three small modules:
 
 Everything is dependency-free (stdlib only) and safe to import from any
 layer; the serving stack and all four engines instrument through the
-module-level hooks, which cost one attribute read when telemetry is off.
+module-level hooks; metrics are always on.
 """
 
 from repro.telemetry.export import (

@@ -103,19 +103,16 @@ def _render_family(family: MetricFamily, lines: List[str]) -> None:
             )
 
 
-def render_prometheus(*registries: Optional[MetricsRegistry]) -> str:
+def render_prometheus(*registries: MetricsRegistry) -> str:
     """The registries' families in text exposition format v0.0.4.
 
     Multiple registries are merged by name; the first registry holding a
     name wins (families are never combined, so keep namespaces disjoint —
-    the ``repro_<layer>_`` convention does).  ``None`` entries are
-    skipped, so ``render_prometheus(service.telemetry, default_registry())``
-    works whether or not global telemetry is enabled.
+    the ``repro_<layer>_`` convention does), e.g.
+    ``render_prometheus(service.telemetry, default_registry())``.
     """
     seen: Dict[str, MetricFamily] = {}
     for registry in registries:
-        if registry is None:
-            continue
         for family in registry.collect():
             seen.setdefault(family.name, family)
     lines: List[str] = []
@@ -124,16 +121,14 @@ def render_prometheus(*registries: Optional[MetricsRegistry]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def snapshot(*registries: Optional[MetricsRegistry]) -> Dict[str, object]:
+def snapshot(*registries: MetricsRegistry) -> Dict[str, object]:
     """A merged JSON-able snapshot of the given registries.
 
     Same merge rule as :func:`render_prometheus`: first registry holding
-    a metric name wins, ``None`` entries are skipped.
+    a metric name wins.
     """
     metrics: Dict[str, object] = {}
     for registry in registries:
-        if registry is None:
-            continue
         part = registry.snapshot()["metrics"]
         assert isinstance(part, dict)
         for name, family in part.items():
@@ -145,7 +140,7 @@ def snapshot(*registries: Optional[MetricsRegistry]) -> Dict[str, object]:
 
 
 def render_json(
-    *registries: Optional[MetricsRegistry], indent: Optional[int] = 2
+    *registries: MetricsRegistry, indent: Optional[int] = 2
 ) -> str:
     """:func:`snapshot` serialized with :mod:`json`."""
     return json.dumps(snapshot(*registries), indent=indent, sort_keys=False)
@@ -189,7 +184,7 @@ class MetricsServer:
     Parameters
     ----------
     registries:
-        Registries to merge at scrape time (``None`` entries allowed).
+        Registries to merge at scrape time (first holding a name wins).
     host / port:
         Bind address; ``port=0`` picks an ephemeral port, readable from
         :attr:`port` after construction.
@@ -201,7 +196,7 @@ class MetricsServer:
 
     def __init__(
         self,
-        registries: Sequence[Optional[MetricsRegistry]],
+        registries: Sequence[MetricsRegistry],
         *,
         host: str = "127.0.0.1",
         port: int = 0,

@@ -15,11 +15,10 @@ every series this package emits is recognisable in a shared Prometheus.
 
 **The process-global default registry.**  Engine-level instrumentation
 (samplers, Monte Carlo blocks, score rescoring) records to the registry
-returned by :func:`default_registry`.  The same trick as
-``repro.serving.faults``: the hook is one module attribute read, and
-``set_default_registry(None)`` disables collection entirely — instrumented
-hot loops guard on the ``None`` and pay a single attribute read when
-telemetry is off.  Tests isolate themselves with :func:`use_registry`.
+returned by :func:`default_registry`.  Metrics are always on: the
+default is always a :class:`MetricsRegistry`, so an instrumentation site
+is one unconditional ``default_registry().counter(...).inc()``.  Tests
+isolate their counters with :func:`use_registry`.
 
 Histograms keep fixed log-spaced latency buckets *plus* an exact running
 ``count``/``sum``, so p50/p95/p99 are derivable (to bucket resolution)
@@ -499,31 +498,32 @@ class MetricsRegistry:
 
 # ------------------------------------------------------- process-global hook
 #
-# Same shape as repro.serving.faults: instrumented code does
-#
-#     registry = default_registry()
-#     if registry is not None:
-#         registry.counter(...).inc()
-#
-# so a disabled process pays one module attribute read per site.
+# Always a registry: instrumented code calls
+# ``default_registry().counter(...).inc()`` at the event without a guard.
+# Swapping (``use_registry``) only changes *where* samples land.
 
-_default: Optional[MetricsRegistry] = MetricsRegistry()
+_default: MetricsRegistry = MetricsRegistry()
 _swap_lock = threading.Lock()
 
 
-def default_registry() -> Optional[MetricsRegistry]:
-    """The process-global registry, or ``None`` when telemetry is off."""
+def default_registry() -> MetricsRegistry:
+    """The process-global registry the engines record into."""
     return _default
 
 
-def set_default_registry(
-    registry: Optional[MetricsRegistry],
-) -> Optional[MetricsRegistry]:
+def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the process-global registry; returns the previous one.
 
-    Pass ``None`` to disable engine-level collection entirely.
+    Metrics cannot be turned off: anything but a
+    :class:`MetricsRegistry` raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     global _default
+    if not isinstance(registry, MetricsRegistry):
+        raise ConfigurationError(
+            f"the default registry must be a MetricsRegistry, got "
+            f"{registry!r}; metrics are always on"
+        )
     with _swap_lock:
         previous = _default
         _default = registry
@@ -547,13 +547,14 @@ class use_registry:
             assert registry.get("repro_sketch_rr_sets_total") is not None
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry]) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self._previous: Optional[MetricsRegistry] = None
 
-    def __enter__(self) -> Optional[MetricsRegistry]:
+    def __enter__(self) -> MetricsRegistry:
         self._previous = set_default_registry(self.registry)
         return self.registry
 
     def __exit__(self, *exc_info: object) -> None:
+        assert self._previous is not None
         set_default_registry(self._previous)

@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.exceptions import (
     ArtifactCorruptError,
+    BudgetError,
     CircuitOpenError,
     ConfigurationError,
     DeadlineExceeded,
@@ -595,6 +596,84 @@ class TestServiceResilience:
         assert stats["evaluate_requests"] == 4
         assert stats["evaluate_batches"] == 2
 
+    def test_stats_request_keys_are_sums_of_request_series(self, compiled):
+        service = make_service(clock=TickingClock(step=1.0), max_queue=2)
+        service.get_index(compiled, "ic")
+        expired = {"deadline_ms": 500}
+        # (call, healthy argument, uncached argument for the expired
+        # deadlines — a cached select budget answers before the deadline
+        # check — and an invalid argument)
+        calls = {
+            "select": (service.select, 3, 4, -1),
+            "evaluate": (service.evaluate, [0, 1], [0, 1], [-7]),
+            "sweep": (service.sweep, [1, 3], [1, 3], [-1]),
+        }
+        for call, good, uncached, bad in calls.values():
+            call(compiled, "ic", good)
+            call(compiled, "ic", uncached, **expired, degraded_ok=True)
+            with pytest.raises(DeadlineExceeded):
+                call(compiled, "ic", uncached, **expired)
+            with pytest.raises((ConfigurationError, KeyError)):
+                call(compiled, "ic", bad)
+        service._admit()
+        service._admit()
+        try:
+            for call, good, _, _ in calls.values():
+                with pytest.raises(ServiceOverloadedError):
+                    call(compiled, "ic", good)
+        finally:
+            service._release()
+            service._release()
+
+        family = service.telemetry.counter(
+            "repro_serving_requests_total", labelnames=("op", "outcome")
+        )
+        counts = {labels: int(child.value) for labels, child in family.children()}
+        for op in calls:
+            assert counts[op, "ok"] == 1 and counts[op, "degraded"] == 1
+            assert counts[op, "error"] == 2 and counts[op, "shed"] == 1
+
+        def total(ops, outcomes):
+            return sum(counts.get((op, o), 0) for op in ops for o in outcomes)
+
+        admitted = ("ok", "degraded", "error")
+        every_op = {op for op, _ in counts}
+        stats = service.stats()
+        assert stats["select_requests"] == total(["select"], admitted) == 4
+        assert stats["evaluate_requests"] == total(["evaluate"], admitted) == 4
+        assert stats["evaluate_batches"] == total(["evaluate"], ["ok"]) == 1
+        assert stats["requests_shed"] == total(every_op, ["shed"]) == 3
+        assert stats["degraded_answers"] == total(every_op, ["degraded"]) == 3
+        # The key set is a public contract: benchmark drivers read it.
+        assert set(stats) == {
+            "index_builds", "index_hits", "index_evictions",
+            "evaluate_requests", "evaluate_batches", "select_requests",
+            "requests_shed", "degraded_answers", "deadline_misses",
+            "io_retries", "artifacts_quarantined", "artifacts_rebuilt",
+            "hot_swaps", "resident_indexes", "capacity", "inflight",
+            "max_queue", "breakers",
+        }
+
+    def test_invalid_degraded_request_counts_as_error(self, compiled):
+        # The deadline expires before the on-demand build, so each request
+        # takes the degraded path and only then fails its own validation.
+        service = make_service(clock=TickingClock(step=1.0))
+        n = compiled.number_of_nodes
+        for budget in (-1, n + 1):
+            with pytest.raises((ConfigurationError, BudgetError)):
+                service.select(
+                    compiled, "ic", budget, deadline_ms=500, degraded_ok=True
+                )
+        with pytest.raises(ConfigurationError):
+            service.sweep(compiled, "ic", [1, -2], deadline_ms=500, degraded_ok=True)
+        family = service.telemetry.counter(
+            "repro_serving_requests_total", labelnames=("op", "outcome")
+        )
+        assert family.labels(op="select", outcome="error").value == 2
+        assert family.labels(op="select", outcome="degraded").value == 0
+        assert family.labels(op="sweep", outcome="error").value == 1
+        assert service.stats()["degraded_answers"] == 0
+
     def test_concurrent_eviction_with_inflight_evaluates(
         self, compiled, other_compiled
     ):
@@ -713,6 +792,21 @@ class TestServeCLIFaultFlags:
         )
         assert lines[0]["ok"] is False
         assert "deadline" in lines[0]["error"]
+
+    def test_reload_of_a_directory_is_an_error_not_an_exit(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        lines = self._run(
+            monkeypatch,
+            capsys,
+            [
+                {"op": "reload", "artifact": str(tmp_path)},
+                {"op": "ping"},
+                {"op": "shutdown"},
+            ],
+        )
+        assert lines[0]["ok"] is False and lines[0]["error"]
+        assert lines[1] == {"ok": True, "op": "ping"}
 
     def test_reload_op_hot_swaps_artifact(self, monkeypatch, capsys, tmp_path):
         from repro.datasets.registry import load_dataset

@@ -139,12 +139,19 @@ class TestGlobalRegistry:
         assert default_registry() is not None
 
     def test_set_default_registry_swaps_and_returns_previous(self):
-        previous = set_default_registry(None)
+        swapped = MetricsRegistry()
+        previous = set_default_registry(swapped)
         try:
-            assert default_registry() is None
+            assert default_registry() is swapped
         finally:
-            set_default_registry(previous)
+            assert set_default_registry(previous) is swapped
         assert default_registry() is previous
+
+    def test_metrics_cannot_be_turned_off(self):
+        before = default_registry()
+        with pytest.raises(ConfigurationError, match="always on"):
+            set_default_registry(None)
+        assert default_registry() is before
 
     def test_use_registry_scopes_and_restores(self):
         before = default_registry()
@@ -278,12 +285,12 @@ class TestExporters:
         count = next(l for l in lines if l.startswith("repro_demo_seconds_count"))
         assert inf_bucket.split()[-1] == count.split()[-1]
 
-    def test_merge_skips_none_and_first_registry_wins(self):
+    def test_merge_first_registry_wins(self):
         first, second = MetricsRegistry(), MetricsRegistry()
         first.counter("repro_merge_total").inc(1)
         second.counter("repro_merge_total").inc(99)
         second.counter("repro_merge_other_total").inc(7)
-        merged = snapshot(first, None, second)
+        merged = snapshot(first, second)
         metrics = merged["metrics"]
         assert metrics["repro_merge_total"]["samples"][0]["value"] == 1.0
         assert metrics["repro_merge_other_total"]["samples"][0]["value"] == 7.0
@@ -399,20 +406,6 @@ class TestInstrumentedService:
         names = {finished.name for finished in recorder.finished()}
         assert {"index_grow", "index_select", "index_evaluate"} <= names
 
-    def test_service_metrics_off_by_default_registry_none(self, small_graph):
-        service = repro.InfluenceService(default_theta=500)
-        previous = set_default_registry(None)
-        try:
-            service.evaluate(small_graph, "ic", [0, 1])
-        finally:
-            set_default_registry(previous)
-        # Legacy stats still tick; the rich per-request series do not.
-        assert service.stats()["evaluate_requests"] == 1
-        seconds = service.telemetry.histogram(
-            "repro_serving_request_seconds", labelnames=("op",)
-        )
-        assert seconds.labels(op="evaluate").count == 0
-
     def test_stats_snapshot_is_deep_copied(self, small_graph):
         service = repro.InfluenceService(default_theta=500)
         service.evaluate(small_graph, "ic", [0])
@@ -424,7 +417,6 @@ class TestInstrumentedService:
         service = repro.InfluenceService(default_theta=500)
         service.evaluate(small_graph, "ic", [0, 1])
         text = render_prometheus(service.telemetry)
-        assert 'repro_serving_events_total{event="evaluate_requests"} 1' in text
         assert 'repro_serving_requests_total{op="evaluate",outcome="ok"} 1' in text
 
 
